@@ -1,7 +1,7 @@
 /**
  * @file
  * Host-performance benchmark of the simulation kernel itself: how many
- * events per host-second the engine sustains. Three tiers of realism:
+ * events per host-second the engine sustains. Five tiers of realism:
  *
  *   1. pure_event      — self-rescheduling callback chains, nothing but the
  *                        scheduler in the loop (kernel ceiling).
@@ -20,10 +20,10 @@
  * --threads-sweep=1,2,4 emit one sample per count, distinguished by the
  * "threads" JSON field):
  *
- *   5. grid_spmv       — a 4-chip SocGrid each running a doall SPMV
+ *   6. grid_spmv       — a 4-chip SocGrid each running a doall SPMV
  *                        scenario: embarrassingly-parallel domains, the
  *                        campaign-throughput shape.
- *   6. sharded_noc     — 4 mesh domains exchanging cross-domain requests at
+ *   7. sharded_noc     — 4 mesh domains exchanging cross-domain requests at
  *                        a 32-cycle link latency: quantum-bound BSP sync and
  *                        mailbox merging in the loop.
  *

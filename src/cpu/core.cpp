@@ -28,7 +28,7 @@ Core::tracer()
 sim::Task<void>
 Core::issue(std::uint64_t insts)
 {
-    stats_.counter("instructions").inc(insts);
+    n_instructions_.inc(insts);
     co_await sim::delay(eq_, params_.issue_cycles * insts);
 }
 
@@ -43,7 +43,7 @@ Core::load(sim::Addr vaddr, unsigned size)
 {
     MAPLE_ASSERT(size >= 1 && size <= 8);
     co_await issue();
-    stats_.counter("loads").inc();
+    n_loads_.inc();
     sim::Cycle start = eq_.now();
     trace::TraceManager *tm = tracer();
     if (tm)
@@ -86,7 +86,7 @@ Core::store(sim::Addr vaddr, std::uint64_t value, unsigned size)
 {
     MAPLE_ASSERT(size >= 1 && size <= 8);
     co_await issue();
-    stats_.counter("stores").inc();
+    n_stores_.inc();
 
     mem::Translation tr = co_await mmu_.translate(vaddr, true);
     if (tr.fault)
@@ -98,7 +98,7 @@ Core::store(sim::Addr vaddr, std::uint64_t value, unsigned size)
     {
         fault::ParkGuard park(eq_, "store_buffer", params_.name);
         while (store_buffer_used_ >= params_.store_buffer) {
-            stats_.counter("store_buffer_stalls").inc();
+            n_store_buffer_stalls_.inc();
             sim::Signal wait = store_buffer_wait_;
             co_await wait;
         }
@@ -138,10 +138,10 @@ sim::Task<void>
 Core::prefetchL1(sim::Addr vaddr)
 {
     co_await issue();
-    stats_.counter("prefetches").inc();
+    n_prefetches_.inc();
     // Prefetch is a load-class instruction (it occupies a load-issue slot
     // and performs translation); figure 10 counts it accordingly.
-    stats_.counter("loads").inc();
+    n_loads_.inc();
     mem::Translation tr = co_await mmu_.translate(vaddr, false);
     if (tr.fault)
         co_return;  // prefetches to unmapped pages are dropped, like real HW
@@ -155,7 +155,7 @@ Core::amoAdd(sim::Addr vaddr, std::uint64_t delta, unsigned size)
     MAPLE_ASSERT(size == 4 || size == 8);
     MAPLE_ASSERT(w_.atomic_port, "core has no atomic port");
     co_await issue();
-    stats_.counter("atomics").inc();
+    n_atomics_.inc();
 
     mem::Translation tr = co_await mmu_.translate(vaddr, true);
     if (tr.fault)
@@ -180,8 +180,8 @@ Core::loadShared(sim::Addr vaddr, unsigned size)
 {
     MAPLE_ASSERT(size >= 1 && size <= 8);
     co_await issue();
-    stats_.counter("loads").inc();
-    stats_.counter("shared_loads").inc();
+    n_loads_.inc();
+    n_shared_loads_.inc();
     sim::Cycle start = eq_.now();
     trace::TraceManager *tm = tracer();
     if (tm)
@@ -209,7 +209,7 @@ Core::storeShared(sim::Addr vaddr, std::uint64_t value, unsigned size)
 {
     MAPLE_ASSERT(size >= 1 && size <= 8);
     co_await issue();
-    stats_.counter("stores").inc();
+    n_stores_.inc();
     mem::Translation tr = co_await mmu_.translate(vaddr, true);
     if (tr.fault)
         MAPLE_THROW(sim::PageFaultError,
@@ -218,7 +218,7 @@ Core::storeShared(sim::Addr vaddr, std::uint64_t value, unsigned size)
     {
         fault::ParkGuard park(eq_, "store_buffer", params_.name);
         while (store_buffer_used_ >= params_.store_buffer) {
-            stats_.counter("store_buffer_stalls").inc();
+            n_store_buffer_stalls_.inc();
             sim::Signal wait = store_buffer_wait_;
             co_await wait;
         }
@@ -242,7 +242,7 @@ Core::storeShared(sim::Addr vaddr, std::uint64_t value, unsigned size)
 sim::Task<std::uint64_t>
 Core::mmioLoad(const soc::AddressMap::Window &w, sim::Addr paddr, unsigned size)
 {
-    stats_.counter("mmio_loads").inc();
+    n_mmio_loads_.inc();
     const unsigned fb = w_.mesh->params().flit_bytes;
     co_await sim::delay(eq_, params_.l1_bypass + params_.l15_latency +
                                  params_.mmio_extra_latency);
@@ -260,7 +260,7 @@ sim::Task<void>
 Core::mmioStore(const soc::AddressMap::Window &w, sim::Addr paddr,
                 std::uint64_t value, unsigned size)
 {
-    stats_.counter("mmio_stores").inc();
+    n_mmio_stores_.inc();
     const unsigned fb = w_.mesh->params().flit_bytes;
     co_await sim::delay(eq_, params_.l1_bypass + params_.l15_latency +
                                  params_.mmio_extra_latency);

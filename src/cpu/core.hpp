@@ -174,6 +174,18 @@ class Core {
     CoreWiring w_;
     mem::Mmu mmu_;
     sim::StatGroup stats_;
+    /// @name Counters of stats_, resolved once (sim::CounterHandle)
+    /// @{
+    sim::CounterHandle n_instructions_{stats_, "instructions"};
+    sim::CounterHandle n_loads_{stats_, "loads"};
+    sim::CounterHandle n_stores_{stats_, "stores"};
+    sim::CounterHandle n_store_buffer_stalls_{stats_, "store_buffer_stalls"};
+    sim::CounterHandle n_prefetches_{stats_, "prefetches"};
+    sim::CounterHandle n_atomics_{stats_, "atomics"};
+    sim::CounterHandle n_shared_loads_{stats_, "shared_loads"};
+    sim::CounterHandle n_mmio_loads_{stats_, "mmio_loads"};
+    sim::CounterHandle n_mmio_stores_{stats_, "mmio_stores"};
+    /// @}
     sim::Average load_latency_;
     unsigned store_buffer_used_ = 0;
     sim::Signal store_buffer_wait_;

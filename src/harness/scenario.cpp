@@ -84,12 +84,13 @@ lookupAddrs(const os::Process &proc)
     return a;
 }
 
+/** One functional write per array; pages are demand-mapped in ascending
+ *  order, as element-wise writes would map them. */
 void
 writeArray(os::Process &proc, sim::Addr base,
            const std::vector<std::uint32_t> &v)
 {
-    for (size_t i = 0; i < v.size(); ++i)
-        proc.writeScalar<std::uint32_t>(base + 4 * i, v[i]);
+    proc.writeBytes(base, v.data(), v.size() * sizeof(std::uint32_t));
 }
 
 /** Load-only row sweep that heats the caches and TLBs. */
@@ -340,8 +341,7 @@ collectScenarioResult(soc::Soc &soc, const ScenarioSpec &s, sim::Cycle start)
     res.result.cycles = res.end_cycle - start;
 
     std::vector<std::uint32_t> y(s.rows);
-    for (std::uint32_t r = 0; r < s.rows; ++r)
-        y[r] = proc.readScalar<std::uint32_t>(a.y + 4 * r);
+    proc.readBytes(a.y, y.data(), y.size() * sizeof(std::uint32_t));
     res.result.checksum = fnv64(y);
     res.result.valid = y == d.golden;
     app::collectCoreStats(soc, res.result);

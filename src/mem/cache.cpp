@@ -190,7 +190,7 @@ Cache::flushAll()
                 resil_->markBackingPoisoned(line);
             w = Way{};  // release the way before any suspension
             if (modified) {
-                stats_.counter("writebacks").inc();
+                n_writebacks_.inc();
                 MemRequest wb =
                     MemRequest::make(eq_, RequesterClass::Core, params_.tile,
                                      line, kLineSize, AccessKind::Write);
@@ -274,12 +274,12 @@ Cache::accessLine(MemRequest req, sim::Addr line)
             if (req.kind == AccessKind::Write)
                 w->dirty = true;
             if (!counted)
-                stats_.counter(demand ? "demand_hits" : "prefetch_hits").inc();
+                (demand ? n_demand_hits_ : n_prefetch_hits_).inc();
             co_return;
         }
         if (!counted) {
             counted = true;
-            stats_.counter(demand ? "demand_misses" : "prefetch_misses").inc();
+            (demand ? n_demand_misses_ : n_prefetch_misses_).inc();
         }
 
         bool dropped = false;
@@ -352,7 +352,7 @@ Cache::accessLineCoherent(MemRequest req, sim::Addr line)
             if (want_m)
                 w->dirty = true;
             if (!counted)
-                stats_.counter(demand ? "demand_hits" : "prefetch_hits").inc();
+                (demand ? n_demand_hits_ : n_prefetch_hits_).inc();
             if (CoherenceChecker *ck = checker()) {
                 if (req.kind == AccessKind::Read)
                     ck->onLoad(coh_id_, line);
@@ -363,19 +363,19 @@ Cache::accessLineCoherent(MemRequest req, sim::Addr line)
         }
         if (!counted) {
             counted = true;
-            stats_.counter(demand ? "demand_misses" : "prefetch_misses").inc();
+            (demand ? n_demand_misses_ : n_prefetch_misses_).inc();
             if (want_m && lookup(line))
-                stats_.counter("upgrade_misses").inc();
+                n_upgrade_misses_.inc();
             else if (std::find(recent_inv_.begin(), recent_inv_.end(), line) !=
                      recent_inv_.end())
-                stats_.counter("coherence_misses").inc();
+                n_coherence_misses_.inc();
         }
 
         // Merge into an in-flight transaction for the same line, then
         // re-evaluate: the fill may have been S while we need M, or it may
         // already have been invalidated again.
         if (auto it = mshrs_.find(line); it != mshrs_.end()) {
-            stats_.counter("mshr_merges").inc();
+            n_mshr_merges_.inc();
             sim::Signal fill = it->second;
             fault::ParkGuard park(eq_, "mshr_merge", params_.name);
             co_await fill;
@@ -384,10 +384,10 @@ Cache::accessLineCoherent(MemRequest req, sim::Addr line)
 
         if (mshrs_.size() >= params_.mshrs) {
             if (req.kind == AccessKind::Prefetch) {
-                stats_.counter("prefetch_drops").inc();
+                n_prefetch_drops_.inc();
                 co_return;
             }
-            stats_.counter("mshr_stalls").inc();
+            n_mshr_stalls_.inc();
             sim::Signal wait = mshr_wait_;
             {
                 fault::ParkGuard park(eq_, "mshr_full", params_.name);
@@ -414,7 +414,7 @@ Cache::accessLineCoherent(MemRequest req, sim::Addr line)
         wakeMshrWaiters();
         fill_done.set(sim::Unit{});
         if (req.kind == AccessKind::Prefetch) {
-            stats_.counter("prefetch_fills").inc();
+            n_prefetch_fills_.inc();
             co_return;
         }
     }
@@ -423,7 +423,7 @@ Cache::accessLineCoherent(MemRequest req, sim::Addr line)
 MsiState
 Cache::cohTakeLine(sim::Addr line)
 {
-    stats_.counter("inv_received").inc();
+    n_inv_received_.inc();
     Way *w = lookup(line);
     if (!w)
         return MsiState::I;  // silently evicted, or our PutM is in flight
@@ -459,7 +459,7 @@ Cache::cohDowngrade(sim::Addr line)
         resil_->markBackingPoisoned(line);  // dirty data goes home poisoned
     w->coh = MsiState::S;
     w->dirty = false;
-    stats_.counter("downgrades").inc();
+    n_downgrades_.inc();
     if (CoherenceChecker *ck = checker())
         ck->onDowngrade(coh_id_, line);
     return true;
@@ -483,11 +483,11 @@ Cache::cohInstall(sim::Addr line, MsiState st, const MemRequest &req)
     size_t set = setIndex(line);
     Way &victim = selectVictimCoherent(set);
     if (victim.valid) {
-        stats_.counter("evictions").inc();
+        n_evictions_.inc();
         if (ck)
             ck->onRelease(coh_id_, victim.tag);
         if (victim.coh == MsiState::M) {
-            stats_.counter("writebacks").inc();
+            n_writebacks_.inc();
             if (resil_ && victim.poisoned)
                 resil_->markBackingPoisoned(victim.tag);
             // The dirty victim goes home as a PutM; nobody waits on it, and
@@ -519,7 +519,7 @@ Cache::handleMiss(MemRequest req, sim::Addr line, bool &dropped)
 
     // Merge into an in-flight fill for the same line.
     if (auto it = mshrs_.find(line); it != mshrs_.end()) {
-        stats_.counter("mshr_merges").inc();
+        n_mshr_merges_.inc();
         sim::Signal fill = it->second;
         fault::ParkGuard park(eq_, "mshr_merge", params_.name);
         co_await fill;
@@ -529,11 +529,11 @@ Cache::handleMiss(MemRequest req, sim::Addr line, bool &dropped)
     // Wait for a free MSHR; prefetches are dropped instead of waiting.
     while (mshrs_.size() >= params_.mshrs) {
         if (req.kind == AccessKind::Prefetch) {
-            stats_.counter("prefetch_drops").inc();
+            n_prefetch_drops_.inc();
             dropped = true;
             co_return;
         }
-        stats_.counter("mshr_stalls").inc();
+        n_mshr_stalls_.inc();
         sim::Signal wait = mshr_wait_;
         {
             fault::ParkGuard park(eq_, "mshr_full", params_.name);
@@ -563,9 +563,9 @@ Cache::handleMiss(MemRequest req, sim::Addr line, bool &dropped)
     size_t set = setIndex(line);
     Way &victim = selectVictim(set);
     if (victim.valid) {
-        stats_.counter("evictions").inc();
+        n_evictions_.inc();
         if (victim.dirty) {
-            stats_.counter("writebacks").inc();
+            n_writebacks_.inc();
             if (resil_ && victim.poisoned)
                 resil_->markBackingPoisoned(victim.tag);
             // Writeback consumes downstream bandwidth but nobody waits on
@@ -584,7 +584,7 @@ Cache::handleMiss(MemRequest req, sim::Addr line, bool &dropped)
     victim.poisoned = resil_ && req.meta && req.meta->poison;
     touch(victim);
     if (req.kind == AccessKind::Prefetch)
-        stats_.counter("prefetch_fills").inc();
+        n_prefetch_fills_.inc();
 
     mshrs_.erase(line);
     wakeMshrWaiters();

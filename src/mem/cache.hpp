@@ -265,6 +265,23 @@ class Cache : public Port, public CoherentCache {
     std::unordered_map<sim::Addr, sim::Signal> mshrs_;
     sim::Signal mshr_wait_;
     sim::StatGroup stats_;
+    /// @name Counters of stats_, resolved once (sim::CounterHandle)
+    /// @{
+    sim::CounterHandle n_demand_hits_{stats_, "demand_hits"};
+    sim::CounterHandle n_demand_misses_{stats_, "demand_misses"};
+    sim::CounterHandle n_prefetch_hits_{stats_, "prefetch_hits"};
+    sim::CounterHandle n_prefetch_misses_{stats_, "prefetch_misses"};
+    sim::CounterHandle n_prefetch_fills_{stats_, "prefetch_fills"};
+    sim::CounterHandle n_prefetch_drops_{stats_, "prefetch_drops"};
+    sim::CounterHandle n_mshr_merges_{stats_, "mshr_merges"};
+    sim::CounterHandle n_mshr_stalls_{stats_, "mshr_stalls"};
+    sim::CounterHandle n_evictions_{stats_, "evictions"};
+    sim::CounterHandle n_writebacks_{stats_, "writebacks"};
+    sim::CounterHandle n_upgrade_misses_{stats_, "upgrade_misses"};
+    sim::CounterHandle n_coherence_misses_{stats_, "coherence_misses"};
+    sim::CounterHandle n_inv_received_{stats_, "inv_received"};
+    sim::CounterHandle n_downgrades_{stats_, "downgrades"};
+    /// @}
     trace::TraceManager::LaneGroupId tr_miss_ = trace::TraceManager::kNone;
 
     ResilManager *resil_ = nullptr;

@@ -64,7 +64,7 @@ Directory::lock(sim::Addr line)
             busy_.emplace(line, sim::Signal{});
             co_return;
         }
-        stats_.counter("busy_waits").inc();
+        n_busy_waits_.inc();
         sim::Signal s = it->second;
         fault::ParkGuard park(eq_, "dir_busy", name_);
         co_await s;
@@ -135,7 +135,7 @@ Directory::consumeStalePutM(sim::Addr line, unsigned cache)
 sim::Task<void>
 Directory::invOne(unsigned cache, sim::Addr line)
 {
-    stats_.counter("invalidations").inc();
+    n_invalidations_.inc();
     CoherentCache &c = fabric_.cacheById(cache);
     co_await fabric_.message(tile_, c.cohTile(), CohMsg::Inv, 0,
                              RequesterClass::Coherence);
@@ -180,8 +180,8 @@ Directory::invalidateSharers(Entry &e, sim::Addr line)
 sim::Task<void>
 Directory::recallOwner(Entry &e, sim::Addr line)
 {
-    stats_.counter("interventions").inc();
-    stats_.counter("fwd_getm").inc();
+    n_interventions_.inc();
+    n_fwd_getm_.inc();
     unsigned owner = static_cast<unsigned>(e.owner);
     CoherentCache &o = fabric_.cacheById(owner);
     e.owner = -1;
@@ -203,8 +203,8 @@ Directory::recallOwner(Entry &e, sim::Addr line)
 sim::Task<void>
 Directory::downgradeOwner(Entry &e, sim::Addr line)
 {
-    stats_.counter("interventions").inc();
-    stats_.counter("fwd_gets").inc();
+    n_interventions_.inc();
+    n_fwd_gets_.inc();
     unsigned owner = static_cast<unsigned>(e.owner);
     CoherentCache &o = fabric_.cacheById(owner);
     e.owner = -1;
@@ -256,7 +256,7 @@ Directory::allocate(sim::Addr line)
                 best = &e;
         }
         if (!best) {
-            stats_.counter("alloc_stalls").inc();
+            n_alloc_stalls_.inc();
             fault::ParkGuard park(eq_, "dir_alloc", name_);
             co_await sim::delay(eq_, cfg_.dir_latency);
             continue;
@@ -264,7 +264,7 @@ Directory::allocate(sim::Addr line)
         bool locked = tryLock(best->tag);
         MAPLE_ASSERT(locked);
         sim::Addr victim_line = best->tag;
-        stats_.counter("recalls").inc();
+        n_recalls_.inc();
         if (best->owner >= 0)
             co_await recallOwner(*best, victim_line);
         co_await invalidateSharers(*best, victim_line);
@@ -308,7 +308,7 @@ Directory::corruptEntry(sim::Addr line)
         if (!contains(e->sharers, id) &&
             fabric_.cacheById(id).cohState(line) == MsiState::I) {
             e->sharers.push_back(id);
-            stats_.counter("corrupt_sharers").inc();
+            n_corrupt_sharers_.inc();
             return;
         }
     }
@@ -320,7 +320,7 @@ Directory::recallLine(sim::Addr line)
     co_await lock(line);
     co_await sim::delay(eq_, cfg_.dir_latency);
     if (Entry *e = find(line)) {
-        stats_.counter("resil_recalls").inc();
+        n_resil_recalls_.inc();
         if (e->owner >= 0)
             co_await recallOwner(*e, line);
         co_await invalidateSharers(*e, line);
@@ -346,7 +346,7 @@ Directory::scrubAudit(std::uint64_t slot)
         }
     }
     if (repaired) {
-        stats_.counter("scrub_repairs").inc(repaired);
+        n_scrub_repairs_.inc(repaired);
         freeIfUntracked(e);
     }
     return repaired;
@@ -362,7 +362,7 @@ Directory::fetchTransaction(unsigned requester, MemRequest req, sim::Addr line,
     co_await sim::delay(eq_, cfg_.dir_latency);
     if (sim::Cycle bubble = resilCheckLookup(line, req.cls))
         co_await sim::delay(eq_, bubble);
-    stats_.counter(want_m ? "getm" : "gets").inc();
+    (want_m ? n_getm_ : n_gets_).inc();
 
     Entry *e = find(line);
     bool data_needed = true;
@@ -391,13 +391,13 @@ Directory::fetchTransaction(unsigned requester, MemRequest req, sim::Addr line,
                 if (c.cohState(line) == MsiState::S) {
                     // Upgrade grant: the requester's S copy becomes
                     // writable; the response is header-only.
-                    stats_.counter("upgrades").inc();
+                    n_upgrades_.inc();
                     data_needed = false;
                 } else {
                     // Stale sharer bit: the S copy was silently evicted
                     // since, so the grant needs a full fill (and its LLC
                     // read) after all.
-                    stats_.counter("stale_upgrades").inc();
+                    n_stale_upgrades_.inc();
                 }
             }
         } else {
@@ -427,7 +427,7 @@ Directory::fetchTransaction(unsigned requester, MemRequest req, sim::Addr line,
             if (e->sharers.size() >= cfg_.max_sharers) {
                 // Limited-pointer overflow: the oldest tracked sharer is
                 // invalidated to make room.
-                stats_.counter("sharer_overflows").inc();
+                n_sharer_overflows_.inc();
                 unsigned oldest = e->sharers.front();
                 e->sharers.erase(e->sharers.begin());
                 co_await invOne(oldest, line);
@@ -442,8 +442,7 @@ Directory::fetchTransaction(unsigned requester, MemRequest req, sim::Addr line,
     co_await fabric_.message(tile_, c.cohTile(), CohMsg::Data,
                              data_needed ? unsigned(kLineSize) : 0, req.cls);
     c.cohInstall(line, want_m ? MsiState::M : MsiState::S, req);
-    stats_.histogram("txn_cycles", 32.0, 64)
-        .sample(static_cast<double>(eq_.now() - txn_start));
+    txn_cycles_.sample(static_cast<double>(eq_.now() - txn_start));
     unlock(line);
 }
 
@@ -462,9 +461,9 @@ Directory::putMTransaction(unsigned requester, MemRequest req, sim::Addr line)
         // re-fetch cleared stale self-ownership). The requester may have
         // re-acquired M since, so `owner == requester` proves nothing here
         // -- clearing it would detach a live M copy (ABA).
-        stats_.counter("putm_stale").inc();
+        n_putm_stale_.inc();
     } else if (e && e->owner == static_cast<int>(requester)) {
-        stats_.counter("putm").inc();
+        n_putm_.inc();
         e->owner = -1;
         freeIfUntracked(*e);
         // Detached: strip the sender's metadata slot (its coroutine frame
@@ -476,7 +475,7 @@ Directory::putMTransaction(unsigned requester, MemRequest req, sim::Addr line)
         // The line's entry was evicted and re-allocated while this PutM
         // flew; every such path notes the PutM as superseded, so this is
         // defensive only. Drop it.
-        stats_.counter("putm_stale").inc();
+        n_putm_stale_.inc();
     }
     unlock(line);
     co_await fabric_.message(tile_, c.cohTile(), CohMsg::WbAck, 0,
@@ -490,7 +489,7 @@ Directory::dmaTransaction(MemRequest req, sim::Addr line, bool write)
     co_await sim::delay(eq_, cfg_.dir_latency);
     if (sim::Cycle bubble = resilCheckLookup(line, req.cls))
         co_await sim::delay(eq_, bubble);
-    stats_.counter(write ? "dma_writes" : "dma_reads").inc();
+    (write ? n_dma_writes_ : n_dma_reads_).inc();
     Entry *e = find(line);
     if (e) {
         if (write) {

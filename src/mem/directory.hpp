@@ -251,6 +251,29 @@ class Directory {
      *  allowed — the same cache can have several stale PutMs flying). */
     std::unordered_map<sim::Addr, std::vector<unsigned>> stale_putms_;
     sim::StatGroup stats_;
+    /// @name Stats of stats_, resolved once (sim::CounterHandle)
+    /// @{
+    sim::CounterHandle n_busy_waits_{stats_, "busy_waits"};
+    sim::CounterHandle n_invalidations_{stats_, "invalidations"};
+    sim::CounterHandle n_interventions_{stats_, "interventions"};
+    sim::CounterHandle n_fwd_getm_{stats_, "fwd_getm"};
+    sim::CounterHandle n_fwd_gets_{stats_, "fwd_gets"};
+    sim::CounterHandle n_alloc_stalls_{stats_, "alloc_stalls"};
+    sim::CounterHandle n_recalls_{stats_, "recalls"};
+    sim::CounterHandle n_corrupt_sharers_{stats_, "corrupt_sharers"};
+    sim::CounterHandle n_resil_recalls_{stats_, "resil_recalls"};
+    sim::CounterHandle n_scrub_repairs_{stats_, "scrub_repairs"};
+    sim::CounterHandle n_upgrades_{stats_, "upgrades"};
+    sim::CounterHandle n_stale_upgrades_{stats_, "stale_upgrades"};
+    sim::CounterHandle n_sharer_overflows_{stats_, "sharer_overflows"};
+    sim::CounterHandle n_putm_stale_{stats_, "putm_stale"};
+    sim::CounterHandle n_putm_{stats_, "putm"};
+    sim::CounterHandle n_getm_{stats_, "getm"};
+    sim::CounterHandle n_gets_{stats_, "gets"};
+    sim::CounterHandle n_dma_writes_{stats_, "dma_writes"};
+    sim::CounterHandle n_dma_reads_{stats_, "dma_reads"};
+    sim::HistogramHandle txn_cycles_{stats_, "txn_cycles", 32.0, 64};
+    /// @}
 };
 
 /**

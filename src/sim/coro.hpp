@@ -11,12 +11,19 @@
  *  - Future<T>: externally-fulfilled completion (one waiter).
  *  - delay():   awaitable that costs simulated cycles.
  *  - spawn():   runs a Task<> to completion as a root, returns a Join.
+ *
+ * Every coroutine frame comes from detail::FramePool, so the nested tasks
+ * each simulated access creates and destroys recycle without reaching
+ * malloc.
  */
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <memory>
+#include <new>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -32,7 +39,114 @@ class Task;
 
 namespace detail {
 
-struct PromiseBase {
+/**
+ * Allocator for coroutine frames: per-thread free lists in 64 B size
+ * classes up to 1 KiB; larger frames go straight to ::operator new. A frame
+ * freed on another thread than the one that allocated it joins the freeing
+ * thread's list (the sharded engine moves domains between workers), and a
+ * thread's cached blocks are returned to ::operator delete when it exits.
+ * Under AddressSanitizer every frame is forwarded to ::operator new/delete,
+ * so the quarantine still catches a resumed-after-destroy frame.
+ */
+class FramePool {
+  public:
+    static constexpr std::size_t kGranule = 64;
+    static constexpr std::size_t kMaxPooled = 1024;
+#ifdef __SANITIZE_ADDRESS__
+    static constexpr bool kEnabled = false;
+#else
+    static constexpr bool kEnabled = true;
+#endif
+
+    static void *
+    allocate(std::size_t n)
+    {
+        if (kEnabled && n <= kMaxPooled) {
+            std::size_t c = classOf(n);
+            if (Block *b = lists_.head[c]) {
+                lists_.head[c] = b->next;
+                return b;
+            }
+            return ::operator new((c + 1) * kGranule);
+        }
+        return ::operator new(n);
+    }
+
+    static void
+    release(void *p, std::size_t n) noexcept
+    {
+        if (kEnabled && n <= kMaxPooled && lists_.state != State::Closed) {
+            if (lists_.state == State::Unarmed)
+                arm();
+            auto *b = static_cast<Block *>(p);
+            std::size_t c = classOf(n);
+            b->next = lists_.head[c];
+            lists_.head[c] = b;
+            return;
+        }
+        ::operator delete(p);
+    }
+
+  private:
+    struct Block {
+        Block *next;
+    };
+
+    /** Unarmed: no exit hook yet. Closed: the thread is exiting and its
+     *  lists were drained, so later frees bypass the pool. */
+    enum class State : std::uint8_t { Unarmed, Armed, Closed };
+
+    /** Trivially destructible, so it stays usable after the thread's exit
+     *  hook ran (a frame can still die in a later thread_local or static
+     *  destructor). */
+    struct Lists {
+        Block *head[kMaxPooled / kGranule];
+        State state;
+    };
+
+    /** Returns the thread's cached blocks when the thread exits. */
+    struct Reaper {
+        Reaper() = default;
+        Reaper(const Reaper &) = delete;
+        Reaper &operator=(const Reaper &) = delete;
+
+        ~Reaper()
+        {
+            for (Block *&head : lists_.head) {
+                while (Block *b = head) {
+                    head = b->next;
+                    ::operator delete(b);
+                }
+            }
+            lists_.state = State::Closed;
+        }
+    };
+
+    static constexpr std::size_t classOf(std::size_t n) { return (n - 1) / kGranule; }
+
+    /** First pooled free on this thread: register the exit hook. */
+    static void
+    arm() noexcept
+    {
+        lists_.state = State::Armed;
+        [[maybe_unused]] static thread_local Reaper reaper;
+    }
+
+    static inline constinit thread_local Lists lists_{};
+};
+
+/** Base of every promise type: frames come from FramePool. */
+struct PooledFrame {
+    static void *operator new(std::size_t n) { return FramePool::allocate(n); }
+
+    static void
+    operator delete(void *p, std::size_t n) noexcept
+    {
+        FramePool::release(p, n);
+    }
+};
+
+struct PromiseBase : PooledFrame {
     std::coroutine_handle<> continuation;
     std::exception_ptr exception;
 
@@ -206,7 +320,7 @@ namespace detail {
 
 /** Self-destroying wrapper coroutine used by spawn(). */
 struct Detached {
-    struct promise_type {
+    struct promise_type : PooledFrame {
         Detached get_return_object() const noexcept { return {}; }
         std::suspend_never initial_suspend() const noexcept { return {}; }
         std::suspend_never final_suspend() const noexcept { return {}; }

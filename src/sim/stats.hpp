@@ -214,8 +214,8 @@ class StatGroup {
     /**
      * Snapshot support. loadState() must never erase map entries: hardware
      * models hold borrowed pointers into this group's maps (e.g. Dram's
-     * per-class latency histograms), so entries are found-or-created and
-     * overwritten in place.
+     * per-class latency histograms, every bound CounterHandle), so entries
+     * are found-or-created and overwritten in place.
      */
     void
     saveState(ckpt::Sink &out) const
@@ -259,6 +259,62 @@ class StatGroup {
     std::map<std::string, Counter> counters_;
     std::map<std::string, Average> averages_;
     std::map<std::string, Histogram> histograms_;
+};
+
+/**
+ * A named counter of a StatGroup, looked up once instead of on every
+ * increment. The entry is created on the first inc(), exactly when
+ * `group.counter(name).inc()` would create it, so dumps, stats JSON and
+ * snapshot images do not change. StatGroup never erases an entry, so the
+ * bound counter stays valid for the group's lifetime, across loadState().
+ * Not copyable: the handle belongs to the component owning the group.
+ */
+class CounterHandle {
+  public:
+    /** @p name must outlive the handle (a string literal). */
+    CounterHandle(StatGroup &group, const char *name) : group_(group), name_(name) {}
+    CounterHandle(const CounterHandle &) = delete;
+    CounterHandle &operator=(const CounterHandle &) = delete;
+
+    void
+    inc(std::uint64_t n = 1)
+    {
+        if (!counter_)
+            counter_ = &group_.counter(name_);
+        counter_->inc(n);
+    }
+
+  private:
+    StatGroup &group_;
+    const char *name_;
+    Counter *counter_ = nullptr;
+};
+
+/** CounterHandle's counterpart for a histogram, bound on first sample(). */
+class HistogramHandle {
+  public:
+    HistogramHandle(StatGroup &group, const char *name, double bucket_width,
+                    size_t buckets)
+        : group_(group), name_(name), width_(bucket_width), buckets_(buckets)
+    {
+    }
+    HistogramHandle(const HistogramHandle &) = delete;
+    HistogramHandle &operator=(const HistogramHandle &) = delete;
+
+    void
+    sample(double v)
+    {
+        if (!hist_)
+            hist_ = &group_.histogram(name_, width_, buckets_);
+        hist_->sample(v);
+    }
+
+  private:
+    StatGroup &group_;
+    const char *name_;
+    double width_;
+    size_t buckets_;
+    Histogram *hist_ = nullptr;
 };
 
 /** Geometric mean helper used by the figure harness. */

@@ -5,8 +5,19 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cmath>
+#include <condition_variable>
+#include <cstdlib>
+#include <deque>
+#include <mutex>
+#include <new>
+#include <numeric>
+#include <sstream>
+#include <thread>
 
+#include "ckpt/serial.hpp"
 #include "sim/coro.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
@@ -14,6 +25,52 @@
 #include "sim/sync.hpp"
 
 using namespace maple::sim;
+
+namespace {
+
+// Global allocation counts for the frame-pool tests. Under AddressSanitizer
+// frames bypass the pool and ASan's own operator new must stay in place, so
+// the counting replacement below is left out and pool-specific checks skip.
+constexpr bool kPooled = detail::FramePool::kEnabled;
+std::atomic<std::uint64_t> g_news{0};
+std::atomic<std::uint64_t> g_deletes{0};
+
+}  // namespace
+
+#ifndef __SANITIZE_ADDRESS__
+namespace {
+
+void
+countedFree(void *p) noexcept
+{
+    if (p)
+        g_deletes.fetch_add(1, std::memory_order_relaxed);
+    std::free(p);
+}
+
+}  // namespace
+
+void *
+operator new(std::size_t n)
+{
+    g_news.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    countedFree(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    countedFree(p);
+}
+#endif
 
 TEST(EventQueue, RunsInTimeOrder)
 {
@@ -437,6 +494,182 @@ TEST(Coro, ZeroDelayDoesNotSuspend)
     EXPECT_TRUE(done);
 }
 
+namespace {
+
+Task<int>
+poolLeaf(EventQueue &eq, int v)
+{
+    co_await delay(eq, 1);
+    co_return v;
+}
+
+Task<int>
+poolMid(EventQueue &eq, int v)
+{
+    int x = co_await poolLeaf(eq, v);
+    co_await delay(eq, 1);
+    co_return x + 1;
+}
+
+Task<void>
+poolLoop(EventQueue &eq, int iters, std::uint64_t *sum)
+{
+    for (int i = 0; i < iters; ++i)
+        *sum += co_await poolMid(eq, i);
+}
+
+Task<int>
+poolValue(int v)
+{
+    co_return 2 * v;
+}
+
+Task<void>
+addTo(Task<int> t, std::uint64_t *sum)
+{
+    *sum += co_await std::move(t);
+}
+
+/** Keeps 2 KiB live across a suspension: a frame above every size class. */
+Task<std::uint64_t>
+bigFrame(EventQueue &eq, std::uint64_t seed)
+{
+    std::array<std::uint64_t, 256> buf{};
+    std::iota(buf.begin(), buf.end(), seed);
+    co_await delay(eq, 1);
+    co_return std::accumulate(buf.begin(), buf.end(), std::uint64_t{0});
+}
+
+Task<void>
+storeBig(EventQueue &eq, std::uint64_t seed, std::uint64_t *out)
+{
+    *out = co_await bigFrame(eq, seed);
+}
+
+}  // namespace
+
+TEST(FramePool, WarmNestedDelayLoopMakesNoGlobalNew)
+{
+    if (!kPooled) {
+        GTEST_SKIP() << "AddressSanitizer build: frames bypass the pool";
+    }
+    EventQueue eq;
+    std::uint64_t sum = 0;
+    Join warm = spawn(poolLoop(eq, 4, &sum));
+    eq.run();
+    warm.get();
+
+    sum = 0;
+    Join j = spawn(poolLoop(eq, 1000, &sum));
+    std::uint64_t before = g_news.load();
+    eq.run();
+    std::uint64_t news = g_news.load() - before;
+    j.get();
+    EXPECT_EQ(sum, 1000u * 1001u / 2);
+    // 2000 nested frames and 2000 delays, all recycled.
+    EXPECT_EQ(news, 0u);
+}
+
+TEST(FramePool, FrameFreedOnAnotherThreadJoinsThatThreadsList)
+{
+    constexpr int kTasks = 512;
+    std::mutex mu;
+    std::condition_variable cv;
+    std::deque<Task<int>> handoff;
+
+    // Frames are allocated on the producer and run/destroyed on the
+    // consumer while the producer keeps allocating.
+    std::thread producer([&] {
+        for (int i = 0; i < kTasks; ++i) {
+            Task<int> t = poolValue(i);
+            {
+                std::lock_guard<std::mutex> lk(mu);
+                handoff.push_back(std::move(t));
+            }
+            cv.notify_one();
+        }
+    });
+    std::uint64_t sum = 0;
+    int reused = 0;
+    std::thread consumer([&] {
+        for (int i = 0; i < kTasks; ++i) {
+            Task<int> t;
+            {
+                std::unique_lock<std::mutex> lk(mu);
+                cv.wait(lk, [&] { return !handoff.empty(); });
+                t = std::move(handoff.front());
+                handoff.pop_front();
+            }
+            if (i % 2 == 0) {
+                spawn(addTo(std::move(t), &sum)).get();
+                continue;
+            }
+            auto h = t.release();
+            void *freed = h.address();
+            h.destroy();
+            auto again = poolValue(i).release();
+            reused += again.address() == freed;
+            again.destroy();
+        }
+    });
+    producer.join();
+    consumer.join();
+    EXPECT_EQ(sum, std::uint64_t{kTasks / 2} * (kTasks - 2));  // 2 * sum of evens
+    if (kPooled) {
+        EXPECT_EQ(reused, kTasks / 2);
+    }
+}
+
+TEST(FramePool, ExitingThreadReleasesItsCachedBlocks)
+{
+    if (!kPooled) {
+        GTEST_SKIP() << "AddressSanitizer build: frames bypass the pool";
+    }
+    constexpr std::uint64_t kFrames = 16;
+    std::uint64_t deletes_before_exit = 0;
+    std::thread t([&] {
+        std::vector<Task<int>> live;
+        live.reserve(kFrames);
+        for (std::uint64_t i = 0; i < kFrames; ++i)
+            live.push_back(poolValue(static_cast<int>(i)));
+        live.clear();  // every frame is now cached on this thread
+        deletes_before_exit = g_deletes.load();
+    });
+    t.join();
+    // Thread exit hands the 16 cached blocks back to ::operator delete
+    // (LeakSanitizer builds would otherwise report them).
+    EXPECT_GE(g_deletes.load() - deletes_before_exit, kFrames);
+}
+
+TEST(FramePool, FrameAboveTheLargestClassRoundTrips)
+{
+    EventQueue eq;
+    std::uint64_t small_news = 0, big_news = 0;
+    for (std::uint64_t rep = 0; rep < 3; ++rep) {
+        std::uint64_t sum = 0;
+        std::uint64_t before = g_news.load();
+        Join small = spawn(poolLoop(eq, 1, &sum));
+        eq.run();
+        small.get();
+        small_news = g_news.load() - before;
+
+        std::uint64_t got = 0;
+        before = g_news.load();
+        Join big = spawn(storeBig(eq, rep, &got));
+        eq.run();
+        big.get();
+        big_news = g_news.load() - before;
+        EXPECT_EQ(got, 256 * rep + 255 * 256 / 2);
+    }
+    // After warm-up a spawn pays only for its Join state: the Detached
+    // wrapper and every Task frame up to 1 KiB are pooled, while the big
+    // frame goes to ::operator new on every run.
+    if (kPooled) {
+        EXPECT_EQ(small_news, 1u);
+        EXPECT_EQ(big_news, 2u);
+    }
+}
+
 TEST(Barrier, ReleasesAllPartiesTogether)
 {
     EventQueue eq;
@@ -533,6 +766,42 @@ TEST(Stats, StatGroupDumpsHistogramPercentiles)
     EXPECT_NE(dump.find("p99:"), std::string::npos);
     g.reset();
     EXPECT_EQ(g.histogram("lat").total(), 0u);
+}
+
+TEST(Stats, HandlesBindOnFirstUseAndSurviveLoadState)
+{
+    StatGroup g("grp");
+    CounterHandle hits(g, "hits");
+    CounterHandle misses(g, "misses");
+    HistogramHandle lat(g, "lat", 4.0, 8);
+    // No entry before the first increment: dumps, stats JSON and snapshot
+    // images list exactly the counters that were touched.
+    EXPECT_TRUE(g.counters().empty());
+    EXPECT_TRUE(g.histograms().empty());
+
+    hits.inc();
+    hits.inc(4);
+    lat.sample(9.0);
+    EXPECT_EQ(g.counters().size(), 1u);
+    EXPECT_EQ(g.counterValue("hits"), 5u);
+    EXPECT_EQ(g.histogram("lat").total(), 1u);
+    EXPECT_EQ(g.histogram("lat").buckets().size(), 8u);
+
+    StatGroup other("grp");
+    other.counter("hits").inc(20);
+    other.counter("misses").inc(7);
+    std::stringstream img;
+    maple::ckpt::Sink out(img);
+    other.saveState(out);
+
+    maple::ckpt::Source in(img);
+    g.loadState(in);
+    hits.inc();    // bound before the restore: same entry, new value
+    misses.inc();  // unbound: binds to the entry the restore created
+    lat.sample(1.0);
+    EXPECT_EQ(g.counterValue("hits"), 21u);
+    EXPECT_EQ(g.counterValue("misses"), 8u);
+    EXPECT_EQ(g.histogram("lat").total(), 2u);
 }
 
 TEST(Rng, DeterministicAcrossInstances)

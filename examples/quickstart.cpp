@@ -17,6 +17,7 @@
 
 #include "core/maple_runtime.hpp"
 #include "harness/figures.hpp"
+#include "soc/knobs.hpp"
 #include "soc/soc.hpp"
 
 using namespace maple;
@@ -64,20 +65,14 @@ executeThread(cpu::Core &core, core::MapleApi &api, sim::Addr out)
 int
 main(int argc, char **argv)
 {
-    // --trace=out.json [--trace-csv=out.csv --trace-interval=N] captures a
-    // Perfetto-loadable trace. Only the decoupled run below is traced: grab
-    // the knobs here and keep the baseline SoC from seeing MAPLE_TRACE.
-    harness::applyTraceFlags(argc, argv);
-    // --fault-*=... / --watchdog* turn on deterministic fault injection and
-    // tune the liveness watchdog (latched into MAPLE_FAULT_*/MAPLE_WATCHDOG*,
-    // which both SoCs below pick up).
-    harness::applyFaultFlags(argc, argv);
-    // --llc-arb / --dram-arb pick the fabric arbitration policy and
-    // --fault-only restricts injection to the named requester classes
-    // (latched into MAPLE_LLC_ARB / MAPLE_DRAM_ARB / MAPLE_FAULT_ONLY).
-    harness::applyFabricFlags(argc, argv);
-    trace::TraceConfig tracecfg;
-    tracecfg.mergeEnv();
+    // Every MAPLE_* knob has a flag (--list-knobs prints them all), e.g.
+    // --fault-noc=0.01 or --coherence=msi; both SoCs below pick them up.
+    // --trace=out.json [--trace-csv=out.csv] captures a Perfetto-loadable
+    // trace of the decoupled run only: resolve its config here, then keep
+    // the baseline SoC from seeing MAPLE_TRACE.
+    harness::applyKnobFlags(argc, argv);
+    soc::SocConfig maple_cfg = soc::SocConfig::fpga();
+    soc::resolveConfig(maple_cfg);
     unsetenv("MAPLE_TRACE");
     unsetenv("MAPLE_TRACE_CSV");
 
@@ -103,9 +98,7 @@ main(int argc, char **argv)
     // --- Run 2: Access + Execute threads through MAPLE --------------------
     sim::Cycle maple_cycles;
     {
-        soc::SocConfig cfg = soc::SocConfig::fpga();
-        cfg.trace = tracecfg;
-        soc::Soc soc(cfg);
+        soc::Soc soc(maple_cfg);
         os::Process &proc = soc.createProcess("quickstart");
         sim::Addr a = proc.alloc(kN * 4, "A");
         sim::Addr b = proc.alloc(kN * 4, "B");

@@ -68,20 +68,7 @@ ResultCache::keyFor(const Job &job) const
     h = fnvBytes(h, &kCacheVersion, sizeof kCacheVersion);
     h = fnvBytes(h, &ckpt::kFormatVersion, sizeof ckpt::kFormatVersion);
     h = fnvStr(h, job.type);
-    // host_threads is a host-execution knob with no effect on simulated
-    // results (the sharded engine is byte-identical for any thread count),
-    // so it must not split the cache: an 8-thread job reuses the 1-thread
-    // entry and vice versa.
-    json::Value keyed_spec = job.spec;
-    if (job.spec.isObject()) {
-        json::Object filtered;
-        for (const auto &[k, v] : job.spec.asObject()) {
-            if (k != "host_threads")
-                filtered.emplace_back(k, v);
-        }
-        keyed_spec = json::Value(std::move(filtered));
-    }
-    h = fnvStr(h, json::dump(keyed_spec));
+    h = fnvStr(h, json::dump(job.spec));
     std::uint64_t self = selfExeHash();
     h = fnvBytes(h, &self, sizeof self);
     if (job.type == "exec") {

@@ -340,6 +340,7 @@ runCampaign(const CampaignSpec &spec, const RunnerOptions &opts)
     auto journalFinish = [&](const JobState &st, const std::string &status,
                              bool retry) {
         json::Object r;
+        r.reserve(5);
         r.emplace_back("event", json::Value("finish"));
         r.emplace_back("job", json::Value(st.job->name));
         r.emplace_back("attempt",

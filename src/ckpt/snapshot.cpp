@@ -5,6 +5,7 @@
 
 #include "ckpt/serial.hpp"
 #include "sim/error.hpp"
+#include "soc/knobs.hpp"
 #include "soc/soc.hpp"
 
 namespace maple::ckpt {
@@ -35,32 +36,19 @@ mixCache(std::uint64_t &h, const mem::CacheParams &p)
 }  // namespace
 
 std::uint64_t
-configHash(const soc::SocConfig &cfg)
+configHash(const soc::SocConfig &raw)
 {
-    // Resolve coherence knobs and mesh geometry exactly as Soc's
-    // constructor does, so hashing a pre-construction config matches
-    // hashing soc.config() afterwards (both resolutions are idempotent).
-    mem::CoherenceConfig coh = cfg.coherence;
-    coh.mergeEnv();
-    unsigned llc_slices = soc::llcSlicesFromEnv(cfg.llc_slices);
-    if (!coh.enabled() || llc_slices < 1)
-        llc_slices = 1;
-    unsigned tiles_needed = cfg.num_cores + cfg.num_maples + llc_slices;
-    unsigned mesh_w = cfg.mesh_width;
-    unsigned mesh_h = cfg.mesh_height;
-    if (mesh_w == 0 || mesh_h == 0) {
-        unsigned w = 1;
-        while (w * w < tiles_needed)
-            ++w;
-        mesh_w = w;
-        mesh_h = (tiles_needed + w - 1) / w;
-    }
+    // Resolve exactly as Soc's constructor does, so hashing a
+    // pre-construction config matches hashing soc.config() afterwards
+    // (resolution is idempotent).
+    soc::SocConfig cfg = raw;
+    soc::resolveConfig(cfg);
 
     std::uint64_t h = kFnvOffset;
     mix(h, cfg.num_cores);
     mix(h, cfg.num_maples);
-    mix(h, mesh_w);
-    mix(h, mesh_h);
+    mix(h, cfg.mesh_width);
+    mix(h, cfg.mesh_height);
     mix(h, cfg.dram_bytes);
     mixCache(h, cfg.l1);
     mixCache(h, cfg.llc);
@@ -90,13 +78,14 @@ configHash(const soc::SocConfig &cfg)
     // hashes identically to builds that predate coherence (their snapshots
     // would still be rejected by the format-version bump, but warm images
     // taken by *this* build in none mode stay portable across the flag).
+    const mem::CoherenceConfig &coh = cfg.coherence;
     if (coh.enabled()) {
         mix(h, static_cast<std::uint64_t>(coh.mode));
         mix(h, coh.dir_entries);
         mix(h, coh.dir_assoc);
         mix(h, coh.max_sharers);
         mix(h, coh.dir_latency);
-        mix(h, llc_slices);
+        mix(h, cfg.llc_slices);
     }
     return h;
 }

@@ -75,9 +75,9 @@ enum class Section : std::uint32_t {
 };
 
 /**
- * FNV-1a hash over the structural fields of @p cfg. Mesh geometry is
- * resolved the same way Soc's constructor resolves it, so hashing a
- * pre-construction config and a Soc's post-construction config() agree.
+ * FNV-1a hash over the structural fields of @p cfg after soc::resolveConfig
+ * (the call Soc's constructor makes), so hashing a pre-construction config
+ * and a Soc's post-construction config() agree.
  */
 std::uint64_t configHash(const soc::SocConfig &cfg);
 

@@ -36,6 +36,7 @@
 #include "mem/mmu.hpp"
 #include "mem/physical_memory.hpp"
 #include "mem/port.hpp"
+#include "os/recovery_config.hpp"
 #include "sim/coro.hpp"
 #include "sim/stats.hpp"
 #include "soc/address_map.hpp"
@@ -63,6 +64,8 @@ struct MapleParams {
      */
     bool coherent = false;
     bool shared_pipeline_hazard = false;  ///< ablation: single shared pipeline
+    /** Recovery-driver policy MapleApi::attach(proc, device) applies. */
+    os::RecoveryConfig recovery{};
 };
 
 /** Memory-side connections of a MAPLE instance. */

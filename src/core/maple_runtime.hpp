@@ -42,12 +42,12 @@ struct LimaRequest {
  */
 class MapleApi {
   public:
+    /** Attach with the device's own recovery policy (MapleParams::recovery,
+     *  which a Soc resolves from the MAPLE_FAULT_RECOVERY* knobs). */
     static MapleApi
     attach(os::Process &proc, Maple &device)
     {
-        os::RecoveryConfig rc;
-        rc.mergeEnv();
-        return attach(proc, device, rc);
+        return attach(proc, device, device.params().recovery);
     }
 
     /**

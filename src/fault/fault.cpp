@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "sim/log.hpp"
@@ -37,89 +36,6 @@ FaultConfig::anyEnabled() const
            hard_spad.prob > 0 || hard_tlb.prob > 0 || coh_delay.prob > 0 ||
            coh_drop.prob > 0 || bitflip_l1.prob > 0 || bitflip_llc.prob > 0 ||
            bitflip_dir.prob > 0 || bitflip_dram.prob > 0;
-}
-
-namespace {
-
-/** Parse "<prob>[:<cycles>]" from @p env into @p rate. */
-void
-parseRate(const char *env, FaultRate &rate, sim::Cycle default_extra)
-{
-    const char *p = std::getenv(env);
-    if (!p || !*p)
-        return;
-    char *end = nullptr;
-    double prob = std::strtod(p, &end);
-    if (end == p || prob < 0.0 || prob > 1.0) {
-        MAPLE_WARN("ignoring bad %s '%s' (want <prob>[:<cycles>])", env, p);
-        return;
-    }
-    rate.prob = prob;
-    rate.max_extra = default_extra;
-    if (*end == ':') {
-        char *end2 = nullptr;
-        unsigned long long extra = std::strtoull(end + 1, &end2, 10);
-        if (end2 && *end2 == '\0' && extra > 0)
-            rate.max_extra = extra;
-        else
-            MAPLE_WARN("ignoring bad %s magnitude in '%s'", env, p);
-    }
-}
-
-}  // namespace
-
-void
-FaultConfig::mergeEnv()
-{
-    if (const char *p = std::getenv("MAPLE_FAULT_SEED"); p && *p) {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(p, &end, 10);
-        if (end && *end == '\0')
-            seed = v;
-        else
-            MAPLE_WARN("ignoring bad MAPLE_FAULT_SEED '%s'", p);
-    }
-    parseRate("MAPLE_FAULT_NOC", noc, /*default_extra=*/64);
-    parseRate("MAPLE_FAULT_DRAM", dram, /*default_extra=*/2000);
-    parseRate("MAPLE_FAULT_TLB", tlb, /*default_extra=*/1);
-    parseRate("MAPLE_FAULT_MMIO", mmio, /*default_extra=*/200);
-    // Hard faults have no latency magnitude: the draw only decides firing.
-    parseRate("MAPLE_FAULT_HARD_SPAD", hard_spad, /*default_extra=*/1);
-    parseRate("MAPLE_FAULT_HARD_TLB", hard_tlb, /*default_extra=*/1);
-    parseRate("MAPLE_FAULT_COH", coh_delay, /*default_extra=*/64);
-    // A drop's cost is the fixed retransmit timeout, not a drawn magnitude.
-    parseRate("MAPLE_FAULT_COH_DROP", coh_drop, /*default_extra=*/1);
-    // Severity ceiling 2: the drawn magnitude is 1 (single-bit, correctable
-    // under SECDED) or 2 (multi-bit, uncorrectable) with equal weight.
-    parseRate("MAPLE_FAULT_BITFLIP_L1", bitflip_l1, /*default_extra=*/2);
-    parseRate("MAPLE_FAULT_BITFLIP_LLC", bitflip_llc, /*default_extra=*/2);
-    parseRate("MAPLE_FAULT_BITFLIP_DIR", bitflip_dir, /*default_extra=*/2);
-    parseRate("MAPLE_FAULT_BITFLIP_DRAM", bitflip_dram, /*default_extra=*/2);
-    if (const char *p = std::getenv("MAPLE_FAULT_ONLY"); p && *p) {
-        std::uint32_t mask = 0;
-        std::stringstream ss(p);
-        std::string tok;
-        bool ok = true;
-        while (std::getline(ss, tok, ',')) {
-            bool found = false;
-            for (unsigned i = 0; i < mem::kNumRequesterClasses; ++i) {
-                auto rc = static_cast<mem::RequesterClass>(i);
-                if (tok == mem::requesterClassName(rc)) {
-                    mask |= mem::requesterClassBit(rc);
-                    found = true;
-                    break;
-                }
-            }
-            if (!found) {
-                MAPLE_WARN("ignoring MAPLE_FAULT_ONLY: unknown class '%s'",
-                           tok.c_str());
-                ok = false;
-                break;
-            }
-        }
-        if (ok && mask)
-            class_mask = mask;
-    }
 }
 
 FaultPlan::FaultPlan(const FaultConfig &cfg)

@@ -22,33 +22,8 @@
  *    (fault/watchdog.hpp) and the deadlock diagnostic read this registry to
  *    name exactly who is stuck and since when.
  *
- * Knobs (env, or --fault-* CLI flags via harness::applyFaultFlags):
- *   MAPLE_FAULT_SEED=<u64>           seed for the fault RNG streams
- *   MAPLE_FAULT_NOC=<prob[:cycles]>  per-link-traversal stall probability
- *   MAPLE_FAULT_DRAM=<prob[:cycles]> per-access latency-spike probability
- *   MAPLE_FAULT_TLB=<prob>           per-translation forced-TLB-miss prob
- *   MAPLE_FAULT_MMIO=<prob[:cycles]> per-MMIO-op response-delay probability
- *   MAPLE_FAULT_HARD_SPAD=<prob>     per-fill hard scratchpad corruption
- *   MAPLE_FAULT_HARD_TLB=<prob>      per-walk hard device-TLB corruption
- *   MAPLE_FAULT_COH=<prob[:cycles]>  per-protocol-message extra-delay prob
- *   MAPLE_FAULT_COH_DROP=<prob>      per-protocol-message drop probability
- *                                    (the copy burns its flits, the sender
- *                                    times out and retransmits)
- *   MAPLE_FAULT_BITFLIP_L1=<prob[:sev]>   per-L1-access SRAM bit flip
- *   MAPLE_FAULT_BITFLIP_LLC=<prob[:sev]>  per-LLC-access SRAM bit flip
- *   MAPLE_FAULT_BITFLIP_DIR=<prob[:sev]>  per-directory-lookup bit flip
- *   MAPLE_FAULT_BITFLIP_DRAM=<prob[:sev]> per-DRAM-read bit flip
- *                                    Bit flips only matter under
- *                                    MAPLE_ECC=secded (mem/resil.hpp): a
- *                                    drawn magnitude of 1 is a correctable
- *                                    single-bit error (latency penalty),
- *                                    >= 2 is uncorrectable (poison /
- *                                    directory-entry corruption). With ECC
- *                                    off the rates are inert.
- *   MAPLE_FAULT_ONLY=<cls[,cls...]>  restrict injection to these requester
- *                                    classes (core, maple_consume,
- *                                    maple_produce, ptw, prefetch, mmio,
- *                                    coherence)
+ * Every knob (rates, seed, class mask) is a MAPLE_FAULT_* row of the knob
+ * table (soc/knobs.hpp).
  *
  * Hard faults (HardSpad, HardTlb) do not add latency: they corrupt state.
  * The device latches architectural error registers and poisons the affected
@@ -147,9 +122,6 @@ struct FaultConfig {
 
     /** True when any class has a nonzero probability. */
     bool anyEnabled() const;
-
-    /** Overlay the MAPLE_FAULT_* environment knobs (see file comment). */
-    void mergeEnv();
 };
 
 /**
@@ -167,6 +139,13 @@ class FaultPlan {
      * (the cost is the organic re-walk) and any nonzero return means fire.
      */
     sim::Cycle draw(FaultClass c);
+
+    /** The rate class @p c draws at. */
+    const FaultRate &
+    rate(FaultClass c) const
+    {
+        return rates_[static_cast<std::size_t>(c)];
+    }
 
     /** Snapshot support: stream positions only (rates come from config). */
     void

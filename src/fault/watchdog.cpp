@@ -1,32 +1,12 @@
 #include "fault/watchdog.hpp"
 
-#include <cstdlib>
+#include <cstdio>
 #include <sstream>
 
 #include "fault/fault.hpp"
 #include "sim/log.hpp"
 
 namespace maple::fault {
-
-void
-WatchdogConfig::mergeEnv()
-{
-    if (const char *p = std::getenv("MAPLE_WATCHDOG"); p && *p)
-        enabled = !(p[0] == '0' && p[1] == '\0');
-    auto parseCycles = [](const char *env, sim::Cycle &out) {
-        const char *p = std::getenv(env);
-        if (!p || !*p)
-            return;
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(p, &end, 10);
-        if (end && *end == '\0' && v > 0)
-            out = v;
-        else
-            MAPLE_WARN("ignoring bad %s '%s'", env, p);
-    };
-    parseCycles("MAPLE_WATCHDOG_STALL_BOUND", stall_bound);
-    parseCycles("MAPLE_WATCHDOG_INTERVAL", check_interval);
-}
 
 bool
 Watchdog::run(sim::Cycle max_cycles)

@@ -36,13 +36,6 @@ struct WatchdogConfig {
     bool enabled = true;
     sim::Cycle check_interval = 1u << 16;   ///< chunk length between checks
     sim::Cycle stall_bound = 10'000'000;    ///< oldest-park age => deadlock
-
-    /**
-     * Overlay environment knobs: MAPLE_WATCHDOG=0 disables, and
-     * MAPLE_WATCHDOG_STALL_BOUND=<cycles> / MAPLE_WATCHDOG_INTERVAL=<cycles>
-     * tune the detection window.
-     */
-    void mergeEnv();
 };
 
 class Watchdog {
@@ -76,8 +69,8 @@ class Watchdog {
      * The chunk-boundary stall check on its own: throws sim::DeadlockError
      * when @p eq's oldest unmasked parked waiter is older than
      * @p cfg.stall_bound. Shared between run() and the sharded engine's
-     * quantum-boundary hook (soc::Soc / soc::SocGrid), so both paths declare
-     * livelock by the same rule.
+     * quantum-boundary hook (soc::SocGrid), so both paths declare livelock
+     * by the same rule.
      */
     static void checkStall(const sim::EventQueue &eq,
                            const WatchdogConfig &cfg);

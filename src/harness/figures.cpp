@@ -3,66 +3,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iterator>
+#include <string_view>
 
-#include "fault/fault.hpp"
 #include "harness/stats_io.hpp"
 #include "sim/stats.hpp"
+#include "soc/knobs.hpp"
 
 namespace maple::harness {
-
-namespace {
-
-struct Flag {
-    const char *name;
-    const char *env;
-};
-
-/**
- * Strip every recognized --flag=value (or --flag value) pair from argv and
- * latch it into the corresponding environment knob. Shared by the trace,
- * fault, and fabric flag families so they strip identically.
- */
-void
-stripFlagsToEnv(int &argc, char **argv, const Flag *flags, size_t num_flags)
-{
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        const Flag *hit = nullptr;
-        const char *value = nullptr;
-        for (size_t k = 0; k < num_flags; ++k) {
-            const Flag &f = flags[k];
-            size_t n = std::strlen(f.name);
-            if (std::strncmp(arg, f.name, n) != 0)
-                continue;
-            if (arg[n] == '=') {
-                hit = &f;
-                value = arg + n + 1;
-                break;
-            }
-            if (arg[n] == '\0') {
-                hit = &f;
-                if (i + 1 < argc)
-                    value = argv[++i];
-                break;
-            }
-        }
-        if (!hit) {
-            argv[out++] = argv[i];
-            continue;
-        }
-        if (!value || !*value) {
-            std::fprintf(stderr, "%s requires a value\n", hit->name);
-            std::exit(2);
-        }
-        setenv(hit->env, value, /*overwrite=*/1);
-    }
-    argc = out;
-    argv[argc] = nullptr;
-}
-
-}  // namespace
 
 std::string
 applyGridJsonFlag(int &argc, char **argv)
@@ -106,136 +53,56 @@ writeGridJson(const std::string &path, const std::string &bench,
     std::fprintf(stderr, "wrote %s\n", path.c_str());
 }
 
-void
-applyTraceFlags(int &argc, char **argv)
-{
-    static constexpr Flag kFlags[] = {
-        {"--trace", "MAPLE_TRACE"},
-        {"--trace-csv", "MAPLE_TRACE_CSV"},
-        {"--trace-interval", "MAPLE_TRACE_INTERVAL"},
-    };
-    stripFlagsToEnv(argc, argv, kFlags, std::size(kFlags));
-}
-
 namespace {
 
-/**
- * One row of `--list-faults`: how a FaultClass is enabled and what its
- * magnitude field means. Kept here (not in src/fault) because flags are a
- * harness concern; fault.cpp's mergeEnv is the authority for env names.
- */
-struct FaultClassRow {
-    fault::FaultClass cls;
-    const char *flag;
-    const char *env;
-    const char *value;  ///< value syntax and magnitude default
-    const char *note;
-};
-
-constexpr FaultClassRow kFaultClassRows[] = {
-    {fault::FaultClass::NocLinkStall, "--fault-noc", "MAPLE_FAULT_NOC",
-     "<prob[:cycles]> (default :64)",
-     "extra cycles on one mesh-link reservation"},
-    {fault::FaultClass::DramSpike, "--fault-dram", "MAPLE_FAULT_DRAM",
-     "<prob[:cycles]> (default :2000)", "late data on one DRAM access"},
-    {fault::FaultClass::TlbStorm, "--fault-tlb", "MAPLE_FAULT_TLB",
-     "<prob>", "forced re-walk: translation invalidated first"},
-    {fault::FaultClass::MmioDelay, "--fault-mmio", "MAPLE_FAULT_MMIO",
-     "<prob[:cycles]> (default :200)", "delayed MMIO response"},
-    {fault::FaultClass::HardSpad, "--fault-hard-spad",
-     "MAPLE_FAULT_HARD_SPAD", "<prob>",
-     "hard fault: scratchpad fill poisoned (device recovery)"},
-    {fault::FaultClass::HardTlb, "--fault-hard-tlb", "MAPLE_FAULT_HARD_TLB",
-     "<prob>", "hard fault: device-TLB translation corrupted"},
-    {fault::FaultClass::CohMsgDelay, "--fault-coh", "MAPLE_FAULT_COH",
-     "<prob[:cycles]> (default :64)",
-     "coherence-message delay (needs --coherence=msi)"},
-    {fault::FaultClass::CohMsgDrop, "--fault-coh-drop",
-     "MAPLE_FAULT_COH_DROP", "<prob>",
-     "coherence-message loss: timeout + retransmit (needs --coherence=msi)"},
-    {fault::FaultClass::BitFlipL1, "--fault-bitflip-l1",
-     "MAPLE_FAULT_BITFLIP_L1", "<prob[:sev]> (default :2)",
-     "L1 soft error; sev 1 correctable, >=2 poison (needs --ecc=secded)"},
-    {fault::FaultClass::BitFlipLlc, "--fault-bitflip-llc",
-     "MAPLE_FAULT_BITFLIP_LLC", "<prob[:sev]> (default :2)",
-     "LLC-slice soft error (needs --ecc=secded)"},
-    {fault::FaultClass::BitFlipDir, "--fault-bitflip-dir",
-     "MAPLE_FAULT_BITFLIP_DIR", "<prob[:sev]> (default :2)",
-     "directory-entry soft error (needs --ecc=secded + --coherence=msi)"},
-    {fault::FaultClass::BitFlipDram, "--fault-bitflip-dram",
-     "MAPLE_FAULT_BITFLIP_DRAM", "<prob[:sev]> (default :2)",
-     "DRAM-read soft error (needs --ecc=secded)"},
-};
-
-static_assert(std::size(kFaultClassRows) ==
-                  static_cast<std::size_t>(fault::FaultClass::kCount),
-              "every FaultClass needs a --list-faults row");
-
 [[noreturn]] void
-listFaultsAndExit()
+listKnobsAndExit()
 {
-    std::printf("fault classes (all off by default; probabilities are per "
-                "injection opportunity):\n\n");
-    for (const FaultClassRow &r : kFaultClassRows) {
-        std::printf("  %-14s %s=%s\n", fault::faultClassName(r.cls), r.flag,
-                    r.value);
-        std::printf("  %-14s env %s; %s\n\n", "", r.env, r.note);
+    std::printf("MAPLE_* knobs (flag or environment variable; an empty value "
+                "is unset):\n\n");
+    for (const soc::Knob &k : soc::knobs()) {
+        std::printf("  %s=%s  (default %s)\n", soc::knobFlag(k).c_str(),
+                    k.syntax, k.def);
+        std::printf("      %s: %s\n\n", k.env, k.help);
     }
-    std::printf("shared knobs: --fault-seed=<u64> (MAPLE_FAULT_SEED), "
-                "--fault-only=<cls,...> (MAPLE_FAULT_ONLY)\n");
     std::exit(0);
 }
 
 }  // namespace
 
 void
-applyFaultFlags(int &argc, char **argv)
+applyKnobFlags(int &argc, char **argv)
 {
+    int out = 1;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--list-faults") == 0)
-            listFaultsAndExit();
+        std::string_view arg = argv[i];
+        if (arg == "--list-knobs")
+            listKnobsAndExit();
+        const soc::Knob *hit = nullptr;
+        std::string flag;
+        for (const soc::Knob &k : soc::knobs()) {
+            flag = soc::knobFlag(k);
+            if (arg.starts_with(flag) &&
+                (arg.size() == flag.size() || arg[flag.size()] == '=')) {
+                hit = &k;
+                break;
+            }
+        }
+        if (!hit) {
+            argv[out++] = argv[i];
+            continue;
+        }
+        const char *value = arg.size() > flag.size() ? argv[i] + flag.size() + 1
+                            : i + 1 < argc           ? argv[++i]
+                                                     : nullptr;
+        if (!value || !*value) {
+            std::fprintf(stderr, "%s requires a value\n", flag.c_str());
+            std::exit(2);
+        }
+        setenv(hit->env, value, /*overwrite=*/1);
     }
-    static constexpr Flag kFlags[] = {
-        {"--fault-seed", "MAPLE_FAULT_SEED"},
-        {"--fault-noc", "MAPLE_FAULT_NOC"},
-        {"--fault-dram", "MAPLE_FAULT_DRAM"},
-        {"--fault-tlb", "MAPLE_FAULT_TLB"},
-        {"--fault-mmio", "MAPLE_FAULT_MMIO"},
-        {"--fault-hard-spad", "MAPLE_FAULT_HARD_SPAD"},
-        {"--fault-hard-tlb", "MAPLE_FAULT_HARD_TLB"},
-        {"--fault-coh", "MAPLE_FAULT_COH"},
-        {"--fault-coh-drop", "MAPLE_FAULT_COH_DROP"},
-        {"--fault-bitflip-l1", "MAPLE_FAULT_BITFLIP_L1"},
-        {"--fault-bitflip-llc", "MAPLE_FAULT_BITFLIP_LLC"},
-        {"--fault-bitflip-dir", "MAPLE_FAULT_BITFLIP_DIR"},
-        {"--fault-bitflip-dram", "MAPLE_FAULT_BITFLIP_DRAM"},
-        {"--fault-recovery", "MAPLE_FAULT_RECOVERY"},
-        {"--fault-recovery-retries", "MAPLE_FAULT_RECOVERY_RETRIES"},
-        {"--fault-recovery-budget", "MAPLE_FAULT_RECOVERY_BUDGET"},
-        {"--fault-recovery-backoff", "MAPLE_FAULT_RECOVERY_BACKOFF"},
-        {"--fault-recovery-timeout", "MAPLE_FAULT_RECOVERY_TIMEOUT"},
-        {"--watchdog", "MAPLE_WATCHDOG"},
-        {"--watchdog-stall-bound", "MAPLE_WATCHDOG_STALL_BOUND"},
-    };
-    stripFlagsToEnv(argc, argv, kFlags, std::size(kFlags));
-}
-
-void
-applyFabricFlags(int &argc, char **argv)
-{
-    static constexpr Flag kFlags[] = {
-        {"--llc-arb", "MAPLE_LLC_ARB"},
-        {"--dram-arb", "MAPLE_DRAM_ARB"},
-        {"--fault-only", "MAPLE_FAULT_ONLY"},
-        {"--coherence", "MAPLE_COHERENCE"},
-        {"--llc-slices", "MAPLE_LLC_SLICES"},
-        {"--coh-check", "MAPLE_COH_CHECK"},
-        {"--ecc", "MAPLE_ECC"},
-        {"--ecc-correct-latency", "MAPLE_ECC_CORRECT_LATENCY"},
-        {"--scrub-interval", "MAPLE_SCRUB_INTERVAL"},
-        {"--scrub-batch", "MAPLE_SCRUB_BATCH"},
-    };
-    stripFlagsToEnv(argc, argv, kFlags, std::size(kFlags));
+    argc = out;
+    argv[argc] = nullptr;
 }
 
 Grid

@@ -84,17 +84,15 @@ std::vector<std::string>
 workloadNames(const std::vector<std::unique_ptr<app::Workload>> &ws);
 
 /**
- * Translate tracing command-line flags into the MAPLE_TRACE* environment
- * knobs read by soc::Soc, and strip them from argv so the caller's own flag
- * parsing never sees them. Recognized (both --flag=value and --flag value):
- *
- *   --trace=<file.json>      enable tracing, write Chrome trace JSON
- *   --trace-csv=<file.csv>   also write the time-series CSV
- *   --trace-interval=<N>     probe sampling cadence in cycles
- *
- * Multi-SoC binaries get one trace file per SoC (".1", ".2"... suffixes).
+ * Strip every knob flag from argv into its MAPLE_* environment variable,
+ * which every Soc construction then reads (soc/knobs.hpp). Each knob's flag
+ * is derived from its name: MAPLE_FAULT_COH_DROP is --fault-coh-drop, taking
+ * --flag=value or --flag value. Unknown flags stay in argv for the caller.
+ * --list-knobs prints every knob with its flag, syntax, default and help,
+ * then exits. Multi-SoC binaries write one trace file per SoC (".1", ".2"
+ * suffixes).
  */
-void applyTraceFlags(int &argc, char **argv);
+void applyKnobFlags(int &argc, char **argv);
 
 /**
  * Strip `--json=<path>` (or `--json <path>`) from argv and return the path,
@@ -109,74 +107,5 @@ std::string applyGridJsonFlag(int &argc, char **argv);
  */
 void writeGridJson(const std::string &path, const std::string &bench,
                    const Grid &grid);
-
-/**
- * Strip the fault-injection & watchdog flags from argv and latch them into
- * the MAPLE_FAULT_* / MAPLE_WATCHDOG* environment knobs, which every Soc
- * construction picks up:
- *
- *   --fault-seed=<u64>              seed for the dedicated fault RNG streams
- *   --fault-noc=<prob[:cycles]>     transient NoC link stalls
- *   --fault-dram=<prob[:cycles]>    DRAM latency spikes
- *   --fault-tlb=<prob>              device-TLB miss storms
- *   --fault-mmio=<prob[:cycles]>    delayed MMIO responses
- *   --fault-hard-spad=<prob>        hard faults: scratchpad fetch corruption
- *   --fault-hard-tlb=<prob>         hard faults: device-TLB corruption
- *   --fault-recovery=<0|1>          enable the OS recovery driver
- *                                   (MapleApi::*Reliable ops route through it)
- *   --fault-recovery-retries=<n>    timed-out retries before escalating
- *   --fault-recovery-budget=<n>     recoveries per queue before it degrades
- *                                   to the software-queue fallback
- *   --fault-recovery-backoff=<cyc>  base retry backoff (doubles, capped)
- *   --fault-recovery-timeout=<cyc>  device-side produce/consume wait bound
- *   --fault-coh=<prob[:cycles]>     coherence-message delays
- *   --fault-coh-drop=<prob>         coherence-message loss (retransmit)
- *   --fault-bitflip-l1=<prob[:sev]>   soft errors in the L1 arrays
- *   --fault-bitflip-llc=<prob[:sev]>  soft errors in the LLC slice arrays
- *   --fault-bitflip-dir=<prob[:sev]>  soft errors in directory entries
- *   --fault-bitflip-dram=<prob[:sev]> soft errors on DRAM reads
- *                                   (sev 1 = correctable, >= 2 = poison;
- *                                   all four need --ecc=secded to matter)
- *   --watchdog=<0|1>                disable/enable the liveness watchdog
- *   --watchdog-stall-bound=<cycles> park age that counts as a deadlock
- *   --list-faults                   print every fault class with its flag,
- *                                   env knob and defaults, then exit
- */
-void applyFaultFlags(int &argc, char **argv);
-
-/**
- * Strip the memory-fabric flags from argv into the environment knobs every
- * Soc construction latches:
- *
- *   --llc-arb=<fifo|rr|core-priority>   arbitration at the shared-LLC
- *                                       front-end (MAPLE_LLC_ARB)
- *   --dram-arb=<fifo|rr|core-priority>  arbitration at the DRAM queue
- *                                       (MAPLE_DRAM_ARB)
- *   --fault-only=<cls[,cls...]>         restrict fault injection to the
- *                                       named requester classes, e.g.
- *                                       "maple_consume,maple_produce"
- *                                       (MAPLE_FAULT_ONLY)
- *   --coherence=<none|msi>              run the sparse-directory MSI
- *                                       protocol through the fabric
- *                                       (MAPLE_COHERENCE; none is the
- *                                       bit-identical legacy hierarchy)
- *   --llc-slices=<n>                    address-interleaved LLC/directory
- *                                       slices, msi mode only
- *                                       (MAPLE_LLC_SLICES)
- *   --coh-check=<0|1>                   flat-memory reference checker on
- *                                       every protocol transition
- *                                       (MAPLE_COH_CHECK)
- *   --ecc=<off|secded>                  SECDED ECC on L1/LLC/directory/DRAM
- *                                       (MAPLE_ECC; off is byte-identical
- *                                       to builds without the model)
- *   --ecc-correct-latency=<cycles>      penalty per corrected error
- *                                       (MAPLE_ECC_CORRECT_LATENCY)
- *   --scrub-interval=<cycles>           background directory scrub period,
- *                                       msi mode; 0 = off
- *                                       (MAPLE_SCRUB_INTERVAL)
- *   --scrub-batch=<n>                   directory entries audited per pass
- *                                       (MAPLE_SCRUB_BATCH)
- */
-void applyFabricFlags(int &argc, char **argv);
 
 }  // namespace maple::harness

@@ -198,10 +198,6 @@ parseScenarioSpec(const json::Value &job)
                 s.technique.c_str());
     s.queue_entries = static_cast<unsigned>(
         job.getInt("queue_entries", s.queue_entries));
-    s.host_threads = static_cast<unsigned>(
-        job.getInt("host_threads", s.host_threads));
-    MAPLE_CHECK(s.host_threads >= 1, json::JsonError,
-                "host_threads must be >= 1");
     s.ecc = job.getString("ecc", s.ecc);
     MAPLE_CHECK(s.ecc == "off" || s.ecc == "secded", json::JsonError,
                 "unknown ecc mode \"%s\" (want off|secded)", s.ecc.c_str());
@@ -268,7 +264,6 @@ scenarioSocConfig(const ScenarioSpec &s)
                              : soc::SocConfig::fpga();
     cfg.name = "campaign-" + s.scenario;
     cfg.num_cores = s.num_cores;
-    cfg.host_threads = s.host_threads;
     if (auto m = mem::parseCoherenceMode(s.coherence))
         cfg.coherence.mode = *m;
     if (cfg.coherence.enabled())

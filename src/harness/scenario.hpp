@@ -52,13 +52,6 @@ struct ScenarioSpec {
     std::string technique = "doall";  ///< "doall" or "maple"
     unsigned queue_entries = 32;
     /// @}
-    /**
-     * Host worker threads driving the simulation (a campaign axis for
-     * thread-count sweeps). Pure host-side execution knob: results are
-     * byte-identical for any value, so it is excluded from the result-cache
-     * key (campaign/cache.cpp) — an N-thread job hits a 1-thread entry.
-     */
-    unsigned host_threads = 1;
 };
 
 /** Result of a measure() phase. */

@@ -1,7 +1,5 @@
 #include "mem/coherence.hpp"
 
-#include <cstdlib>
-
 namespace maple::mem {
 
 const char *
@@ -22,20 +20,6 @@ parseCoherenceMode(std::string_view s)
     if (s == "msi")
         return CoherenceMode::Msi;
     return std::nullopt;
-}
-
-CoherenceMode
-coherenceModeFromEnv(const char *env, CoherenceMode fallback)
-{
-    const char *v = std::getenv(env);
-    if (!v || !*v)
-        return fallback;
-    auto m = parseCoherenceMode(v);
-    if (!m)
-        MAPLE_THROW(sim::ConfigError,
-                    "%s: unknown coherence mode \"%s\" (expected none | msi)",
-                    env, v);
-    return *m;
 }
 
 const char *
@@ -66,35 +50,6 @@ cohMsgName(CohMsg m)
     case CohMsg::kCount: break;
     }
     return "?";
-}
-
-namespace {
-
-unsigned
-envUnsigned(const char *env, unsigned fallback)
-{
-    const char *v = std::getenv(env);
-    if (!v || !*v)
-        return fallback;
-    char *end = nullptr;
-    unsigned long n = std::strtoul(v, &end, 10);
-    if (end == v || *end != '\0' || n == 0)
-        MAPLE_THROW(sim::ConfigError, "%s: expected a positive integer, got \"%s\"",
-                    env, v);
-    return static_cast<unsigned>(n);
-}
-
-}  // namespace
-
-void
-CoherenceConfig::mergeEnv()
-{
-    mode = coherenceModeFromEnv("MAPLE_COHERENCE", mode);
-    if (const char *v = std::getenv("MAPLE_COH_CHECK"); v && *v)
-        checker = (std::string_view(v) != "0");
-    dir_entries = envUnsigned("MAPLE_COH_DIR_ENTRIES", dir_entries);
-    dir_assoc = envUnsigned("MAPLE_COH_DIR_ASSOC", dir_assoc);
-    max_sharers = envUnsigned("MAPLE_COH_MAX_SHARERS", max_sharers);
 }
 
 unsigned

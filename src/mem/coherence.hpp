@@ -14,14 +14,7 @@
  * the single-writer/multiple-reader invariant. With the protocol correct the
  * checker is silent; any missed invalidation, lost writeback or racy install
  * throws a typed CoherenceError naming the line and the caches involved.
- *
- * Knobs (env, or --coherence/--coh-check harness flags):
- *   MAPLE_COHERENCE=none|msi   protocol mode (default none: the legacy
- *                              incoherent hierarchy, bit-identical to HEAD)
- *   MAPLE_COH_CHECK=1          enable the reference checker (msi mode only)
- *   MAPLE_COH_DIR_ENTRIES=<n>  sparse-directory entries per LLC slice
- *   MAPLE_COH_DIR_ASSOC=<n>    sparse-directory associativity
- *   MAPLE_COH_MAX_SHARERS=<n>  bounded sharer-vector width
+ * The MAPLE_COHERENCE / MAPLE_COH_* knobs (soc/knobs.hpp) set the config.
  */
 #pragma once
 
@@ -44,7 +37,6 @@ enum class CoherenceMode : std::uint8_t {
 
 const char *coherenceModeName(CoherenceMode m);
 std::optional<CoherenceMode> parseCoherenceMode(std::string_view s);
-CoherenceMode coherenceModeFromEnv(const char *env, CoherenceMode fallback);
 
 /** Stable per-line states of a coherent (L1) cache. */
 enum class MsiState : std::uint8_t {
@@ -105,9 +97,6 @@ struct CoherenceConfig {
     bool checker = false;
 
     bool enabled() const { return mode != CoherenceMode::None; }
-
-    /** Overlay the MAPLE_COHERENCE / MAPLE_COH_* environment knobs. */
-    void mergeEnv();
 };
 
 /** A protocol invariant was violated (stale read, double owner, ...). */

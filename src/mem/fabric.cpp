@@ -1,7 +1,5 @@
 #include "mem/fabric.hpp"
 
-#include <cstdlib>
-
 #include "sim/error.hpp"
 
 namespace maple::mem {
@@ -43,21 +41,6 @@ parseArbPolicy(std::string_view s)
     if (s == "core-priority" || s == "core")
         return ArbPolicy::CorePriority;
     return std::nullopt;
-}
-
-ArbPolicy
-arbPolicyFromEnv(const char *env, ArbPolicy fallback)
-{
-    const char *v = std::getenv(env);
-    if (!v || !*v)
-        return fallback;
-    auto p = parseArbPolicy(v);
-    if (!p)
-        MAPLE_THROW(sim::ConfigError,
-                    "%s: unknown arbitration policy \"%s\" "
-                    "(expected fifo | rr | core-priority)",
-                    env, v);
-    return *p;
 }
 
 Arbiter::Arbiter(sim::EventQueue &eq, std::string name, ArbPolicy policy,

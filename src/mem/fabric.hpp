@@ -40,9 +40,6 @@ const char *arbPolicyName(ArbPolicy p);
 /** Parse "fifo" | "rr" | "round-robin" | "core-priority"; nullopt if unknown. */
 std::optional<ArbPolicy> parseArbPolicy(std::string_view s);
 
-/** Policy from environment variable @p env, or @p fallback when unset. */
-ArbPolicy arbPolicyFromEnv(const char *env, ArbPolicy fallback);
-
 /**
  * Single-ported admission stage: the protected resource ingests one flit
  * (16 bytes by default, header included) per cycle, so a request occupies

@@ -1,50 +1,11 @@
 #include "mem/resil.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "mem/physical_memory.hpp"
 #include "sim/log.hpp"
 
 namespace maple::mem {
-
-namespace {
-
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *p = std::getenv(name);
-    if (!p || !*p)
-        return fallback;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(p, &end, 10);
-    if (!end || *end != '\0') {
-        MAPLE_WARN("ignoring bad %s '%s'", name, p);
-        return fallback;
-    }
-    return v;
-}
-
-}  // namespace
-
-void
-ResilConfig::mergeEnv()
-{
-    if (const char *p = std::getenv("MAPLE_ECC"); p && *p) {
-        if (std::strcmp(p, "secded") == 0)
-            ecc = true;
-        else if (std::strcmp(p, "off") == 0 || std::strcmp(p, "0") == 0)
-            ecc = false;
-        else
-            MAPLE_WARN("ignoring bad MAPLE_ECC '%s' (want off|secded)", p);
-    }
-    correct_latency = envU64("MAPLE_ECC_CORRECT_LATENCY", correct_latency);
-    scrub_interval = envU64("MAPLE_SCRUB_INTERVAL", scrub_interval);
-    unsigned batch =
-        static_cast<unsigned>(envU64("MAPLE_SCRUB_BATCH", scrub_batch));
-    scrub_batch = batch > 0 ? batch : scrub_batch;
-}
 
 fault::FaultClass
 poisonCause(const RequestMeta *m, fault::FaultClass fallback)

@@ -35,13 +35,8 @@
  *
  * Everything here is off by default: with MAPLE_ECC unset/off and no scrub
  * interval, no ResilManager is constructed and the simulation is
- * byte-identical to builds that predate it.
- *
- * Knobs (env, or --ecc / --scrub-interval via harness::applyFabricFlags):
- *   MAPLE_ECC=<off|secded>           enable the SECDED model (default off)
- *   MAPLE_ECC_CORRECT_LATENCY=<cyc>  correction penalty (default 8)
- *   MAPLE_SCRUB_INTERVAL=<cycles>    directory scrub period (0 = off)
- *   MAPLE_SCRUB_BATCH=<n>            directory entries audited per pass
+ * byte-identical to builds that predate it. The MAPLE_ECC* / MAPLE_SCRUB_*
+ * knobs (soc/knobs.hpp) set the config.
  */
 #pragma once
 
@@ -70,9 +65,6 @@ struct ResilConfig {
 
     /** True when any part of the resilience subsystem must be built. */
     bool enabled() const { return ecc || scrub_interval > 0; }
-
-    /** Overlay the MAPLE_ECC* / MAPLE_SCRUB* environment knobs. */
-    void mergeEnv();
 };
 
 /** SECDED classification of one access (see ResilManager::check). */

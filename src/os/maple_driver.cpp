@@ -1,7 +1,6 @@
 #include "os/maple_driver.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "fault/fault.hpp"
 #include "trace/trace.hpp"
@@ -19,28 +18,7 @@ namespace {
  */
 constexpr sim::Cycle kSettleCycles = 512;
 
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    return std::strtoull(v, nullptr, 0);
-}
-
 }  // namespace
-
-void
-RecoveryConfig::mergeEnv()
-{
-    enabled = envU64("MAPLE_FAULT_RECOVERY", enabled ? 1 : 0) != 0;
-    retry_budget = static_cast<unsigned>(
-        envU64("MAPLE_FAULT_RECOVERY_RETRIES", retry_budget));
-    recovery_budget = static_cast<unsigned>(
-        envU64("MAPLE_FAULT_RECOVERY_BUDGET", recovery_budget));
-    backoff_base = envU64("MAPLE_FAULT_RECOVERY_BACKOFF", backoff_base);
-    op_timeout = envU64("MAPLE_FAULT_RECOVERY_TIMEOUT", op_timeout);
-}
 
 MapleDriver::MapleDriver(os::Process &proc, core::Maple &device,
                          sim::Addr mmio_base, RecoveryConfig cfg)

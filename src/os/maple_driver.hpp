@@ -34,14 +34,8 @@
  * Assumptions (checked by the tests, documented in DESIGN.md §10): one
  * producer and one consumer thread per driver-managed queue, and every op on
  * such a queue goes through the driver (MapleApi::*Reliable). AMO produces
- * are not journaled and are outside recovery coverage.
- *
- * Knobs (env, or --fault-recovery* CLI flags via harness::applyFaultFlags):
- *   MAPLE_FAULT_RECOVERY=<0|1>           enable the recovery driver
- *   MAPLE_FAULT_RECOVERY_RETRIES=<n>     timed-out retries before escalating
- *   MAPLE_FAULT_RECOVERY_BUDGET=<n>      recoveries before degradation
- *   MAPLE_FAULT_RECOVERY_BACKOFF=<c>     base backoff delay in cycles
- *   MAPLE_FAULT_RECOVERY_TIMEOUT=<c>     device-side op timeout in cycles
+ * are not journaled and are outside recovery coverage. The policy
+ * (os/recovery_config.hpp) comes from the MAPLE_FAULT_RECOVERY* knobs.
  */
 #pragma once
 
@@ -55,22 +49,11 @@
 #include "core/maple_isa.hpp"
 #include "cpu/core.hpp"
 #include "os/kernel.hpp"
+#include "os/recovery_config.hpp"
 #include "sim/coro.hpp"
 #include "sim/stats.hpp"
 
 namespace maple::os {
-
-struct RecoveryConfig {
-    bool enabled = false;
-    unsigned retry_budget = 3;       ///< timed-out retries before escalating
-    unsigned recovery_budget = 8;    ///< recoveries per queue before degrading
-    sim::Cycle backoff_base = 200;   ///< first retry backoff (doubles, capped)
-    sim::Cycle backoff_cap = 10000;
-    sim::Cycle op_timeout = 10000;   ///< device-side produce/consume bound
-
-    /** Overlay the MAPLE_FAULT_RECOVERY* environment knobs. */
-    void mergeEnv();
-};
 
 class MapleDriver {
   public:

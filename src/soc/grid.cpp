@@ -3,6 +3,7 @@
 #include "fault/watchdog.hpp"
 #include "sim/error.hpp"
 #include "sim/log.hpp"
+#include "soc/knobs.hpp"
 
 namespace maple::soc {
 
@@ -23,7 +24,7 @@ SocGridConfig::uniform(const SocConfig &proto, unsigned chips)
 SocGrid::SocGrid(SocGridConfig cfg) : cfg_(std::move(cfg))
 {
     MAPLE_CHECK(!cfg_.socs.empty(), sim::ConfigError, "empty SocGrid");
-    cfg_.host_threads = hostThreadsFromEnv(cfg_.host_threads);
+    cfg_.host_threads = resolveHostThreads(cfg_.host_threads);
     socs_.reserve(cfg_.socs.size());
     for (const SocConfig &sc : cfg_.socs) {
         socs_.push_back(std::make_unique<Soc>(sc));

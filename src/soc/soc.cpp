@@ -1,14 +1,9 @@
 #include "soc/soc.hpp"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
-#include <limits>
-
 #include "os/page_retire.hpp"
 #include "sim/error.hpp"
 #include "sim/log.hpp"
-#include "sim/sharded.hpp"
+#include "soc/knobs.hpp"
 
 namespace maple::soc {
 
@@ -67,26 +62,6 @@ class McaMmio : public MmioDevice {
     mem::ResilManager &resil_;
 };
 
-unsigned
-hostThreadsFromEnv(unsigned fallback)
-{
-    const char *p = std::getenv("MAPLE_THREADS");
-    if (!p || !*p)
-        return fallback;
-    char *end = nullptr;
-    errno = 0;
-    unsigned long v = std::strtoul(p, &end, 10);
-    // Range-check BEFORE the narrowing cast: 2^32 would otherwise truncate
-    // to 0 and silently select the single-threaded path, and strtoul
-    // reports overflow as ULONG_MAX + ERANGE rather than a parse failure.
-    if (!end || *end != '\0' || errno == ERANGE || v < 1 ||
-        v > std::numeric_limits<unsigned>::max()) {
-        MAPLE_WARN("ignoring bad MAPLE_THREADS '%s'", p);
-        return fallback;
-    }
-    return static_cast<unsigned>(v);
-}
-
 SocConfig
 SocConfig::fpga()
 {
@@ -113,77 +88,28 @@ SocConfig::simulated(unsigned cores)
     cfg.num_cores = cores;
     cfg.dram_bytes = 1ull << 32;  // 4GB
     cfg.dram = mem::DramParams{300, 1, 2};  // ~68GB/s aggregate
-    // Auto mesh: cores + maples + mem tile.
-    unsigned tiles = cores + cfg.num_maples + 1;
+    // Auto mesh: resolveConfig sizes it to the cores, MAPLEs and slices.
     cfg.mesh_width = 0;
     cfg.mesh_height = 0;
-    (void)tiles;
     return cfg;
-}
-
-unsigned
-llcSlicesFromEnv(unsigned fallback)
-{
-    const char *p = std::getenv("MAPLE_LLC_SLICES");
-    if (!p || !*p)
-        return fallback;
-    char *end = nullptr;
-    errno = 0;
-    unsigned long v = std::strtoul(p, &end, 10);
-    if (!end || *end != '\0' || errno == ERANGE || v < 1 || v > 1024) {
-        MAPLE_WARN("ignoring bad MAPLE_LLC_SLICES '%s'", p);
-        return fallback;
-    }
-    return static_cast<unsigned>(v);
 }
 
 Soc::Soc(SocConfig cfg) : cfg_(std::move(cfg))
 {
-    // Coherence knobs resolve before mesh sizing: the slice count changes
-    // how many tiles the memory system occupies. Without a protocol the
-    // slice knob is forced to 1 so the historical single-home layout (and
-    // every downstream byte) is untouched.
-    cfg_.coherence.mergeEnv();
-    cfg_.llc_slices = llcSlicesFromEnv(cfg_.llc_slices);
-    if (!cfg_.coherence.enabled() || cfg_.llc_slices < 1)
-        cfg_.llc_slices = 1;
-
-    // Resolve mesh geometry: enough tiles for cores + MAPLEs + LLC slices.
-    unsigned tiles_needed =
-        cfg_.num_cores + cfg_.num_maples + cfg_.llc_slices;
-    if (cfg_.mesh_width == 0 || cfg_.mesh_height == 0) {
-        unsigned w = 1;
-        while (w * w < tiles_needed)
-            ++w;
-        cfg_.mesh_width = w;
-        cfg_.mesh_height = (tiles_needed + w - 1) / w;
-    }
-    MAPLE_CHECK(cfg_.mesh_width * cfg_.mesh_height >= tiles_needed,
-                sim::ConfigError, "mesh too small: %ux%u for %u tiles",
-                cfg_.mesh_width, cfg_.mesh_height, tiles_needed);
-    cfg_.mesh.width = cfg_.mesh_width;
-    cfg_.mesh.height = cfg_.mesh_height;
-
-    // Environment knobs (MAPLE_TRACE=..., MAPLE_FAULT_*=...) turn tracing
-    // and fault injection on for any binary that assembles a Soc, without
-    // per-binary flag plumbing.
-    cfg_.trace.mergeEnv();
+    // The MAPLE_* environment knobs (MAPLE_TRACE=..., MAPLE_FAULT_*=...)
+    // reach every binary that assembles a Soc, without per-binary flag
+    // plumbing.
+    resolveConfig(cfg_);
+    unsigned tiles = cfg_.num_cores + cfg_.num_maples + cfg_.llc_slices;
+    MAPLE_CHECK(cfg_.mesh_width * cfg_.mesh_height >= tiles, sim::ConfigError,
+                "mesh too small: %ux%u for %u tiles", cfg_.mesh_width,
+                cfg_.mesh_height, tiles);
     if (cfg_.trace.enabled)
         tracer_ = std::make_unique<trace::TraceManager>(eq_, cfg_.trace);
-    cfg_.fault.mergeEnv();
-    cfg_.watchdog.mergeEnv();
-    cfg_.host_threads = hostThreadsFromEnv(cfg_.host_threads);
     fault_ = std::make_unique<fault::FaultInjector>(eq_, cfg_.fault);
-    cfg_.resil.mergeEnv();
     if (cfg_.resil.enabled())
         resil_ = std::make_unique<mem::ResilManager>(
             eq_, cfg_.resil, cfg_.mesh_width * cfg_.mesh_height);
-
-    // Fabric arbitration knobs (MAPLE_LLC_ARB / MAPLE_DRAM_ARB, or the
-    // --llc-arb / --dram-arb harness flags): fifo keeps the historical
-    // pass-through front-ends.
-    cfg_.llc_arb = mem::arbPolicyFromEnv("MAPLE_LLC_ARB", cfg_.llc_arb);
-    cfg_.dram.arb = mem::arbPolicyFromEnv("MAPLE_DRAM_ARB", cfg_.dram.arb);
 
     // Pre-size the plumbing containers so wiring never reallocates while
     // components hand out raw pointers to earlier entries.
@@ -479,33 +405,8 @@ Soc::run(std::vector<sim::Join> joins, sim::Cycle max_cycles)
     // whenever the machine drains, so snapshots between phases stay legal).
     if (resil_)
         resil_->kickScrub();
-    bool drained;
-    if (cfg_.host_threads > 1) {
-        // The sharded-engine path: the whole SoC is one event domain (its
-        // mesh reserves links synchronously, so it cannot be cut without
-        // changing timing — see DESIGN.md §12), driven through the same
-        // chunked-run + stall-check protocol as the Watchdog. Event order
-        // and timing are identical to the legacy path; only the cycle at
-        // which a livelock is *diagnosed* can differ by up to one quantum,
-        // because the engine's windows start at the next pending event
-        // rather than at now().
-        sim::ShardedEngine engine;
-        engine.addDomain(eq_, cfg_.name);
-        if (cfg_.watchdog.enabled) {
-            engine.setBoundaryHook([this](sim::Cycle) {
-                fault::Watchdog::checkStall(eq_, cfg_.watchdog);
-            });
-        }
-        sim::ShardedEngine::RunOptions ro;
-        ro.threads = cfg_.host_threads;
-        ro.max_cycles = max_cycles;
-        if (cfg_.watchdog.enabled)
-            ro.quantum = cfg_.watchdog.check_interval;
-        drained = engine.run(ro);
-    } else {
-        fault::Watchdog wd(eq_, cfg_.watchdog);
-        drained = wd.run(max_cycles);
-    }
+    fault::Watchdog wd(eq_, cfg_.watchdog);
+    bool drained = wd.run(max_cycles);
     for (const sim::Join &j : joins) {
         if (j.done())
             j.get();  // rethrows workload exceptions

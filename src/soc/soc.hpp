@@ -95,14 +95,6 @@ struct SocConfig {
      */
     mem::ResilConfig resil{};
 
-    /**
-     * Host worker threads driving run() (MAPLE_THREADS env, --threads in the
-     * harnesses). 1 keeps the historical single-threaded watchdog loop; > 1
-     * routes run() through the sharded engine (sim/sharded.hpp). Results are
-     * byte-identical either way — the knob only changes host-side execution.
-     */
-    unsigned host_threads = 1;
-
     /** Table 2: the FPGA-emulated OpenPiton+Ariane SoC (2 cores, 1 MAPLE). */
     static SocConfig fpga();
 
@@ -110,15 +102,11 @@ struct SocConfig {
     static SocConfig simulated(unsigned cores = 2);
 };
 
-/** @p fallback overlaid with MAPLE_THREADS when set and parseable (>= 1). */
-unsigned hostThreadsFromEnv(unsigned fallback);
-
-/** @p fallback overlaid with MAPLE_LLC_SLICES when set and parseable.
- *  Exposed so ckpt::configHash can resolve slices the way Soc's ctor does. */
-unsigned llcSlicesFromEnv(unsigned fallback);
-
 class Soc {
   public:
+    /** Build the SoC @p cfg describes, after soc::resolveConfig (the MAPLE_*
+     *  environment knobs and mesh sizing, soc/knobs.hpp); config() returns
+     *  the resolved copy. */
     explicit Soc(SocConfig cfg = SocConfig::fpga());
     ~Soc();
 

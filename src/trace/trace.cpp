@@ -1,7 +1,6 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -44,27 +43,6 @@ stallCauseName(StallCause c)
       case StallCause::FaultMmio:       return "fault_mmio";
       case StallCause::FaultRecovery:   return "fault_recovery";
       default:                          return "?";
-    }
-}
-
-void
-TraceConfig::mergeEnv()
-{
-    if (const char *p = std::getenv("MAPLE_TRACE"); p && *p) {
-        enabled = true;
-        json_path = p;
-    }
-    if (const char *p = std::getenv("MAPLE_TRACE_CSV"); p && *p) {
-        enabled = true;
-        csv_path = p;
-    }
-    if (const char *p = std::getenv("MAPLE_TRACE_INTERVAL"); p && *p) {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(p, &end, 10);
-        if (end && *end == '\0' && v > 0)
-            sample_interval = v;
-        else
-            MAPLE_WARN("ignoring bad MAPLE_TRACE_INTERVAL '%s'", p);
     }
 }
 
@@ -161,8 +139,10 @@ TraceManager::beginLane(LaneGroupId g, const char *name, Category cat)
     }
     if (tid == kNone) {
         std::string lane_name = group.base;
-        if (!group.lanes.empty())
-            lane_name += "#" + std::to_string(group.lanes.size());
+        if (!group.lanes.empty()) {
+            lane_name += '#';
+            lane_name += std::to_string(group.lanes.size());
+        }
         tid = track(lane_name);
         group.lanes.push_back(tid);
     }

@@ -75,14 +75,6 @@ struct TraceConfig {
     sim::Cycle sample_interval = 1000;///< probe sampling cadence, in cycles
     std::size_t max_events = 1u << 22;///< events beyond this are counted, not stored
     bool report_to_stderr = true;     ///< print the stall report on write()
-
-    /**
-     * Overlay environment knobs: MAPLE_TRACE=<json path> enables tracing,
-     * MAPLE_TRACE_CSV=<csv path> and MAPLE_TRACE_INTERVAL=<cycles> refine it.
-     * This is how every bench and example grows a trace knob without
-     * per-binary plumbing (soc::Soc calls this on its config).
-     */
-    void mergeEnv();
 };
 
 class TraceManager {

@@ -243,51 +243,6 @@ TEST(CampaignCache, KeyIsStableAndSpecSensitive)
     EXPECT_NE(cache.keyFor(c.jobs[0]), cache.keyFor(tweaked));
 }
 
-TEST(CampaignCache, HostThreadsDoesNotSplitTheKey)
-{
-    // host_threads is a host-execution knob: the sharded engine's results
-    // are byte-identical for any value, so an N-thread job must reuse a
-    // 1-thread cache entry (and vice versa).
-    campaign::CampaignSpec c =
-        campaign::parseCampaignSpec(json::parse(kSmokeSpec));
-    campaign::ResultCache cache(::testing::TempDir() + "campaign_cache_ht",
-                                true);
-    const std::string base_key = cache.keyFor(c.jobs[0]);
-
-    campaign::Job threaded = c.jobs[0];
-    threaded.spec.set("host_threads", Value(8));
-    EXPECT_EQ(cache.keyFor(threaded), base_key);
-    threaded.spec.set("host_threads", Value(1));
-    EXPECT_EQ(cache.keyFor(threaded), base_key);
-
-    // Everything else must still split the key, also in a spec that
-    // carries host_threads.
-    threaded.spec.set("rows", Value(128));
-    EXPECT_NE(cache.keyFor(threaded), base_key);
-}
-
-TEST(CampaignSpec, HostThreadsAxisExpandsAndSharesCacheEntries)
-{
-    campaign::CampaignSpec c = campaign::parseCampaignSpec(json::parse(R"({
-      "name": "threads-sweep",
-      "base": {"scenario": "spmv", "rows": 64, "nnz_per_row": 4,
-               "cols": 512, "warm_rows": 16},
-      "axes": {"host_threads": [1, 4]},
-      "seeds": [1]
-    })"));
-    ASSERT_EQ(c.jobs.size(), 2u);
-    harness::ScenarioSpec s0 = harness::parseScenarioSpec(c.jobs[0].spec);
-    harness::ScenarioSpec s1 = harness::parseScenarioSpec(c.jobs[1].spec);
-    EXPECT_EQ(s0.host_threads, 1u);
-    EXPECT_EQ(s1.host_threads, 4u);
-    EXPECT_EQ(harness::scenarioSocConfig(s1).host_threads, 4u);
-
-    // The two jobs differ only in host_threads: one cache entry serves both.
-    campaign::ResultCache cache(::testing::TempDir() + "campaign_cache_axis",
-                                true);
-    EXPECT_EQ(cache.keyFor(c.jobs[0]), cache.keyFor(c.jobs[1]));
-}
-
 TEST(CampaignCache, StoreThenLoadReturnsIdenticalDocument)
 {
     campaign::ResultCache cache(::testing::TempDir() + "campaign_cache2",

@@ -10,6 +10,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -145,6 +146,23 @@ TEST(Ckpt, ConfigHashIsStructuralOnly)
     soc::SocConfig d = soc::SocConfig::fpga();
     d.num_cores += 1;
     EXPECT_NE(ckpt::configHash(a), ckpt::configHash(d));
+}
+
+TEST(Ckpt, ConfigHashResolvesTheKnobsLikeTheSoc)
+{
+    // Structural knobs (protocol, slice count) and the 0x0 auto mesh must
+    // resolve the same way before and after construction.
+    soc::SocConfig cfg = soc::SocConfig::simulated(4);
+    ASSERT_EQ(cfg.mesh_width, 0u);
+    ::setenv("MAPLE_COHERENCE", "msi", 1);
+    ::setenv("MAPLE_LLC_SLICES", "4", 1);
+    soc::Soc soc(cfg);
+    EXPECT_EQ(soc.config().llc_slices, 4u);
+    EXPECT_EQ(ckpt::configHash(cfg), ckpt::configHash(soc.config()));
+    ::unsetenv("MAPLE_COHERENCE");
+    ::unsetenv("MAPLE_LLC_SLICES");
+    EXPECT_NE(ckpt::configHash(cfg), ckpt::configHash(soc.config()))
+        << "sanity: the knobs must have changed the structure";
 }
 
 TEST(Ckpt, RejectsBadMagicVersionConfigAndTruncation)
@@ -351,47 +369,6 @@ TEST(Ckpt, RestoreThenRunIsByteIdenticalToUninterruptedRun)
     }
 }
 
-TEST(Ckpt, RestoreThenRunWithHostThreadsIsByteIdentical)
-{
-    // host_threads routes the run through the sharded engine but is not a
-    // structural config field (it doesn't enter configHash), so a snapshot
-    // taken at 1 thread restores into a 4-thread Soc — and the resumed run
-    // must still be byte-identical.
-    std::string warm_image, final_1;
-    sim::Cycle cycles_1 = 0;
-    GatherAddrs at;
-    {
-        soc::Soc soc(tracedConfig());
-        os::Process &proc = soc.createProcess("quickstart");
-        core::MapleApi api = core::MapleApi::attach(proc, soc.maple());
-        at = setupGather(soc, proc, api);
-        std::stringstream warm;
-        soc.snapshot(warm);
-        warm_image = warm.str();
-        runGather(soc, api, at);
-        cycles_1 = soc.eq().now();
-        std::stringstream fin;
-        soc.snapshot(fin);
-        final_1 = fin.str();
-    }
-    {
-        soc::SocConfig cfg = tracedConfig();
-        cfg.host_threads = 4;
-        soc::Soc soc(cfg);
-        std::istringstream warm(warm_image);
-        soc.restore(warm);
-        os::Process &proc = *soc.kernel().processes()[0];
-        core::MapleApi api = core::MapleApi::attach(proc, soc.maple());
-        runGather(soc, api, at);
-        EXPECT_EQ(soc.eq().now(), cycles_1);
-        checkGatherOutput(proc, at);
-        std::stringstream fin;
-        soc.snapshot(fin);
-        EXPECT_EQ(fin.str(), final_1)
-            << "host_threads=4 restore-then-run diverged from host_threads=1";
-    }
-}
-
 TEST(Ckpt, SnapshotDoesNotPerturbTheRun)
 {
     // Reference: run the gather with no snapshot anywhere.
@@ -463,7 +440,7 @@ struct ResilFingerprint {
     }
 };
 
-TEST(Ckpt, ResilStateRoundTripsThroughSnapshotIntoFourThreads)
+TEST(Ckpt, ResilStateRoundTripsThroughSnapshot)
 {
     std::string warm_image, final_a;
     sim::Cycle cycles_a = 0;
@@ -502,11 +479,9 @@ TEST(Ckpt, ResilStateRoundTripsThroughSnapshotIntoFourThreads)
         final_a = fin.str();
     }
     {
-        // Restore into a 4-thread SoC: the resilience state must arrive
-        // intact and the resumed run must stay byte-identical.
-        soc::SocConfig cfg = resilCkptConfig();
-        cfg.host_threads = 4;
-        soc::Soc soc(cfg);
+        // Restore into a fresh SoC: the resilience state must arrive intact
+        // and the resumed run must stay byte-identical.
+        soc::Soc soc(resilCkptConfig());
         std::istringstream warm(warm_image);
         soc.restore(warm);
         ASSERT_NE(soc.resil(), nullptr);

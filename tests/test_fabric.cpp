@@ -12,6 +12,7 @@
 #include "core/maple_runtime.hpp"
 #include "mem/fabric.hpp"
 #include "mem/port.hpp"
+#include "soc/knobs.hpp"
 #include "soc/soc.hpp"
 #include "workloads/workload.hpp"
 
@@ -74,15 +75,17 @@ TEST(ArbPolicy, ParseAcceptsAliases)
 
 TEST(ArbPolicy, EnvOverrideAndRejection)
 {
+    auto resolvedLlcArb = [] {
+        soc::SocConfig cfg = soc::SocConfig::fpga();
+        soc::resolveConfig(cfg);
+        return cfg.llc_arb;
+    };
     unsetenv("MAPLE_LLC_ARB");
-    EXPECT_EQ(arbPolicyFromEnv("MAPLE_LLC_ARB", ArbPolicy::Fifo),
-              ArbPolicy::Fifo);
+    EXPECT_EQ(resolvedLlcArb(), ArbPolicy::Fifo);
     setenv("MAPLE_LLC_ARB", "rr", 1);
-    EXPECT_EQ(arbPolicyFromEnv("MAPLE_LLC_ARB", ArbPolicy::Fifo),
-              ArbPolicy::RoundRobinByClass);
+    EXPECT_EQ(resolvedLlcArb(), ArbPolicy::RoundRobinByClass);
     setenv("MAPLE_LLC_ARB", "nonsense", 1);
-    EXPECT_THROW(arbPolicyFromEnv("MAPLE_LLC_ARB", ArbPolicy::Fifo),
-                 sim::ConfigError);
+    EXPECT_THROW(resolvedLlcArb(), sim::ConfigError);
     unsetenv("MAPLE_LLC_ARB");
 }
 
@@ -274,17 +277,16 @@ TEST(FaultClassMask, MaskedOpportunitiesConsumeNoDraws)
 TEST(FaultClassMask, EnvListParsesToMask)
 {
     setenv("MAPLE_FAULT_ONLY", "maple_consume,maple_produce", 1);
-    fault::FaultConfig cfg;
-    cfg.mergeEnv();
-    EXPECT_EQ(cfg.class_mask,
+    soc::SocConfig cfg = soc::SocConfig::fpga();
+    soc::resolveConfig(cfg);
+    EXPECT_EQ(cfg.fault.class_mask,
               requesterClassBit(RequesterClass::MapleConsume) |
                   requesterClassBit(RequesterClass::MapleProduce));
-    // An unknown token disables the whole restriction (fail open + warn)
-    // rather than silently masking everything off.
+    // An unknown token is a typed error, rather than injecting into every
+    // class or silently masking everything off.
     setenv("MAPLE_FAULT_ONLY", "maple_consume,bogus", 1);
-    fault::FaultConfig cfg2;
-    cfg2.mergeEnv();
-    EXPECT_EQ(cfg2.class_mask, kAllRequesterClasses);
+    soc::SocConfig cfg2 = soc::SocConfig::fpga();
+    EXPECT_THROW(soc::resolveConfig(cfg2), sim::ConfigError);
     unsetenv("MAPLE_FAULT_ONLY");
 }
 

@@ -361,7 +361,7 @@ TEST(ResilFuzz, SeededBitFlipStormsNeverBreachTheChecker)
 
 // ---------------------------------------------------------------------------
 // Acceptance: 64-tile grid, checker on, all four fault classes seeded.
-// Deterministic across host threads and across snapshot/restore.
+// Deterministic across snapshot/restore.
 // ---------------------------------------------------------------------------
 
 constexpr unsigned kGridCores = 55;  // + 1 MAPLE + 8 slices = 64 tiles
@@ -393,11 +393,10 @@ struct GridOutcome {
 };
 
 soc::SocConfig
-acceptanceConfig(unsigned host_threads)
+acceptanceConfig()
 {
     soc::SocConfig cfg = soc::SocConfig::simulated(kGridCores);
     cfg.llc_slices = 8;
-    cfg.host_threads = host_threads;
     cfg.coherence.mode = mem::CoherenceMode::Msi;
     cfg.coherence.checker = true;
     cfg.resil.ecc = true;
@@ -424,10 +423,10 @@ runGridPhase(soc::Soc &soc, sim::Addr shared, sim::Addr priv,
 }
 
 GridOutcome
-runAcceptanceGrid(unsigned host_threads)
+runAcceptanceGrid()
 {
     GridOutcome out;
-    soc::Soc soc(acceptanceConfig(host_threads));
+    soc::Soc soc(acceptanceConfig());
     EXPECT_EQ(soc.config().mesh_width * soc.config().mesh_height, 64u);
     os::Process &proc = soc.createProcess("acceptance");
     sim::Addr shared = proc.alloc(512 * 8, "shared");
@@ -452,22 +451,17 @@ runAcceptanceGrid(unsigned host_threads)
 
 TEST(ResilAcceptance, SixtyFourTileGridCorrectsContainsAndScrubs)
 {
-    GridOutcome ref = runAcceptanceGrid(1);
+    GridOutcome ref = runAcceptanceGrid();
     // The three required recoveries all fired, and the checker (live on
     // every transition) never threw out of a join.
     EXPECT_GE(ref.corrected, 1u);
     EXPECT_GE(ref.containments, 1u);
     EXPECT_GE(ref.scrub_repairs, 1u);
 
-    // Same machine, 4 host threads: byte-identical.
-    GridOutcome mt = runAcceptanceGrid(4);
-    EXPECT_EQ(mt.cycles, ref.cycles);
-    EXPECT_EQ(mt.fin, ref.fin) << "--threads=4 diverged from --threads=1";
-
-    // Restore the phase boundary into a fresh 4-thread SoC and run phase 2:
-    // the end state must match the uninterrupted run, resilience state
-    // (poisoned ways, MCA banks, backing poison, scrub cursor) included.
-    soc::Soc soc(acceptanceConfig(4));
+    // Restore the phase boundary into a fresh SoC and run phase 2: the end
+    // state must match the uninterrupted run, resilience state (poisoned
+    // ways, MCA banks, backing poison, scrub cursor) included.
+    soc::Soc soc(acceptanceConfig());
     std::istringstream warm(ref.warm);
     soc.restore(warm);
     os::Process &proc = *soc.kernel().processes()[0];

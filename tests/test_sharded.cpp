@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the sharded multi-threaded simulation engine (sim/sharded) and
- * its integrations: Soc host_threads routing, SocGrid multi-chip runs, and
- * cross-domain link ports.
+ * its integrations: SocGrid multi-chip runs and cross-domain link ports.
  *
  * The load-bearing guarantee is *bit-identity across host thread counts*:
  * --threads=N must produce byte-for-byte the same simulation as
@@ -32,12 +31,9 @@
 #include <sanitizer/lsan_interface.h>
 #endif
 
-#include "core/maple_runtime.hpp"
 #include "harness/scenario.hpp"
 #include "mem/port.hpp"
-#include "mem/resil.hpp"
 #include "mem/shard_port.hpp"
-#include "os/maple_driver.hpp"
 #include "sim/coro.hpp"
 #include "sim/error.hpp"
 #include "sim/sharded.hpp"
@@ -349,257 +345,6 @@ TEST(CrossDomainPort, RoundTripCostsTwoLinkHopsPlusService)
 }
 
 // ---------------------------------------------------------------------------
-// Soc integration: cfg.host_threads routes run() through the engine
-// ---------------------------------------------------------------------------
-
-constexpr std::uint32_t kN = 512;
-
-struct GatherAddrs {
-    sim::Addr a = 0, b = 0, out = 0;
-};
-
-GatherAddrs
-setupGather(soc::Soc &soc, os::Process &proc, core::MapleApi &api)
-{
-    GatherAddrs at;
-    at.a = proc.alloc(kN * 4, "A");
-    at.b = proc.alloc(kN * 4, "B");
-    at.out = proc.alloc(kN * 4, "out");
-    for (std::uint32_t i = 0; i < kN; ++i) {
-        proc.writeScalar<std::uint32_t>(at.a + 4 * i, i * 3);
-        proc.writeScalar<std::uint32_t>(at.b + 4 * i, (i * 2654435761u) % kN);
-    }
-    auto setup = [&](cpu::Core &c) -> sim::Task<void> {
-        co_await api.init(c, 1, 32, 4);
-        bool ok = co_await api.open(c, 0);
-        MAPLE_ASSERT(ok, "queue open failed");
-    };
-    soc.run({sim::spawn(setup(soc.core(0)))});
-    return at;
-}
-
-sim::Task<void>
-accessThread(cpu::Core &core, core::MapleApi &api, GatherAddrs at)
-{
-    for (std::uint32_t i = 0; i < kN; ++i) {
-        std::uint64_t idx = co_await core.load(at.b + 4 * i, 4);
-        co_await api.producePtr(core, 0, at.a + 4 * idx);
-    }
-}
-
-sim::Task<void>
-executeThread(cpu::Core &core, core::MapleApi &api, GatherAddrs at)
-{
-    for (std::uint32_t i = 0; i < kN; ++i) {
-        std::uint64_t v = co_await api.consumeReliable(core, 0);
-        co_await core.compute(1);
-        co_await core.store(at.out + 4 * i, v + 1, 4);
-    }
-}
-
-/**
- * Run the MAPLE-decoupled gather on one Soc with @p host_threads (and, when
- * @p faulty, soft NoC/DRAM fault injection live) and return the full
- * end-of-run snapshot plus the final clock.
- */
-std::string
-gatherSnapshot(unsigned host_threads, bool faulty, Cycle &cycles)
-{
-    soc::SocConfig cfg = soc::SocConfig::fpga();
-    cfg.host_threads = host_threads;
-    if (faulty) {
-        cfg.fault.seed = 77;
-        cfg.fault.dram = {0.05, 400};
-        cfg.fault.noc = {0.01, 16};
-    }
-    soc::Soc soc(cfg);
-    os::Process &proc = soc.createProcess("gather");
-    core::MapleApi api = core::MapleApi::attach(proc, soc.maple());
-    GatherAddrs at = setupGather(soc, proc, api);
-    soc.run({sim::spawn(accessThread(soc.core(0), api, at)),
-             sim::spawn(executeThread(soc.core(1), api, at))});
-    cycles = soc.eq().now();
-    for (std::uint32_t i = 0; i < kN; ++i) {
-        std::uint32_t idx = (i * 2654435761u) % kN;
-        EXPECT_EQ(proc.readScalar<std::uint32_t>(at.out + 4 * i), idx * 3 + 1);
-    }
-    std::stringstream fin;
-    soc.snapshot(fin);
-    return fin.str();
-}
-
-TEST(ShardedSoc, QuickstartGatherIsByteIdenticalAcrossHostThreads)
-{
-    Cycle cycles1 = 0, cycles4 = 0;
-    std::string snap1 = gatherSnapshot(1, false, cycles1);
-    std::string snap4 = gatherSnapshot(4, false, cycles4);
-    EXPECT_EQ(cycles4, cycles1);
-    EXPECT_EQ(snap4, snap1) << "host_threads=4 diverged from host_threads=1";
-}
-
-TEST(ShardedSoc, FaultSeededRunIsByteIdenticalAcrossHostThreads)
-{
-    // Fault injection draws from per-component RNG streams; thread count
-    // must not perturb a single draw.
-    Cycle cycles1 = 0, cycles4 = 0;
-    std::string snap1 = gatherSnapshot(1, true, cycles1);
-    std::string snap4 = gatherSnapshot(4, true, cycles4);
-    EXPECT_EQ(cycles4, cycles1);
-    EXPECT_EQ(snap4, snap1);
-    Cycle clean = 0;
-    EXPECT_NE(gatherSnapshot(1, false, clean), snap1)
-        << "sanity: the faulty run must differ from the clean one";
-}
-
-TEST(ShardedSoc, ScenarioMeasureMatchesAcrossHostThreadsBothTechniques)
-{
-    for (const char *technique : {"doall", "maple"}) {
-        harness::ScenarioSpec s;
-        s.rows = 128;
-        s.warm_rows = 32;
-        s.technique = technique;
-
-        std::uint64_t checksum[2];
-        Cycle end_cycle[2];
-        std::string snap[2];
-        unsigned threads[2] = {1, 4};
-        for (int i = 0; i < 2; ++i) {
-            s.host_threads = threads[i];
-            soc::Soc soc(harness::scenarioSocConfig(s));
-            harness::warmScenario(soc, s);
-            harness::ScenarioResult r = harness::measureScenario(soc, s);
-            EXPECT_TRUE(r.result.valid) << technique;
-            checksum[i] = r.result.checksum;
-            end_cycle[i] = r.end_cycle;
-            std::stringstream fin;
-            soc.snapshot(fin);
-            snap[i] = fin.str();
-        }
-        EXPECT_EQ(checksum[1], checksum[0]) << technique;
-        EXPECT_EQ(end_cycle[1], end_cycle[0]) << technique;
-        EXPECT_EQ(snap[1], snap[0]) << technique;
-    }
-}
-
-TEST(ShardedSoc, RecoveryReplayIsByteIdenticalAcrossHostThreads)
-{
-    // Hard faults + the OS recovery driver (retry, replay) on top of the
-    // sharded run path: the heaviest determinism test we have.
-    auto recoveryRun = [](unsigned host_threads, Cycle &cycles,
-                          std::uint64_t &recoveries) {
-        constexpr unsigned n = 128;
-        soc::SocConfig cfg = soc::SocConfig::fpga();
-        cfg.host_threads = host_threads;
-        cfg.fault.seed = 5;
-        cfg.fault.hard_spad = {0.02, 1};
-        os::RecoveryConfig rc;
-        rc.enabled = true;
-        rc.recovery_budget = 64;
-        soc::Soc soc(cfg);
-        os::Process &proc = soc.createProcess("recovery");
-        core::MapleApi api = core::MapleApi::attach(proc, soc.maple(), rc);
-
-        sim::Addr a = proc.alloc(n * 8, "A");
-        for (unsigned i = 0; i < n; ++i)
-            proc.writeScalar<std::uint64_t>(a + 8 * i, 100 + 3 * i);
-        auto producer = [&](cpu::Core &c) -> sim::Task<void> {
-            co_await api.init(c, 1, 8, 8);
-            EXPECT_TRUE(co_await api.open(c, 0));
-            for (unsigned i = 0; i < n; ++i)
-                EXPECT_TRUE(co_await api.producePtrReliable(c, 0, a + 8 * i));
-        };
-        auto consumer = [&](cpu::Core &c) -> sim::Task<void> {
-            co_await sim::delay(soc.eq(), 2'000);
-            for (unsigned i = 0; i < n; ++i) {
-                std::uint64_t v = co_await api.consumeReliable(c, 0);
-                EXPECT_EQ(v, 100 + 3 * static_cast<std::uint64_t>(i));
-            }
-        };
-        std::vector<sim::Join> joins;
-        joins.push_back(sim::spawn(producer(soc.core(0))));
-        joins.push_back(sim::spawn(consumer(soc.core(1))));
-        cycles = soc.run(std::move(joins), 200'000'000);
-        recoveries = api.driver()->recoveries();
-        std::stringstream fin;
-        soc.snapshot(fin);
-        return fin.str();
-    };
-    Cycle cycles1 = 0, cycles4 = 0;
-    std::uint64_t rec1 = 0, rec4 = 0;
-    std::string snap1 = recoveryRun(1, cycles1, rec1);
-    std::string snap4 = recoveryRun(4, cycles4, rec4);
-    EXPECT_GT(rec1, 0u) << "rate 0.02 over 128 fetches must fire";
-    EXPECT_EQ(rec4, rec1);
-    EXPECT_EQ(cycles4, cycles1);
-    EXPECT_EQ(snap4, snap1);
-}
-
-TEST(ShardedSoc, ResilRunIsByteIdenticalAcrossHostThreads)
-{
-    // Soft errors on top of the sharded run path: the SECDED model corrects
-    // L1 single-bit flips inline, and DRAM multi-bit flips poison lines that
-    // core-class consumers turn into machine-check containment (flush,
-    // page retire, MCA latch). Every draw, correction bubble and
-    // containment must land on the same cycle regardless of host thread
-    // count. Core-only traffic keeps the MAPLE recovery driver (and its
-    // watchdog owner masks, which block snapshots) out of the picture.
-    auto resilRun = [](unsigned host_threads, Cycle &cycles,
-                       std::uint64_t &corrected, std::uint64_t &contained) {
-        soc::SocConfig cfg = soc::SocConfig::fpga();
-        cfg.host_threads = host_threads;
-        cfg.resil.ecc = true;
-        cfg.fault.seed = 31;
-        cfg.fault.bitflip_l1 = {0.01, 1};    // correctable: latency only
-        cfg.fault.bitflip_dram = {0.05, 2};  // uncorrectable: poison
-        soc::Soc soc(cfg);
-        os::Process &proc = soc.createProcess("resil");
-        sim::Addr a = proc.alloc(kN * 4, "A");
-        sim::Addr out = proc.alloc(kN * 4, "out");
-        for (std::uint32_t i = 0; i < kN; ++i)
-            proc.writeScalar<std::uint32_t>(a + 4 * i, i * 3);
-        auto gather = [&](cpu::Core &c) -> sim::Task<void> {
-            for (std::uint32_t i = 0; i < kN; ++i) {
-                std::uint64_t v = co_await c.load(a + 4 * i, 4);
-                co_await c.store(out + 4 * i, v + 1, 4);
-            }
-        };
-        cycles = soc.run({sim::spawn(gather(soc.core(0))),
-                          sim::spawn(gather(soc.core(1)))},
-                         200'000'000);
-        for (std::uint32_t i = 0; i < kN; ++i)
-            EXPECT_EQ(proc.readScalar<std::uint32_t>(out + 4 * i), i * 3 + 1)
-                << "containment must hand back repaired data (element " << i
-                << ")";
-        corrected = soc.resil()->correctedTotal();
-        contained = soc.resil()->containments();
-        std::stringstream fin;
-        soc.snapshot(fin);
-        return fin.str();
-    };
-    Cycle cycles1 = 0, cycles4 = 0;
-    std::uint64_t cor1 = 0, cor4 = 0, con1 = 0, con4 = 0;
-    std::string snap1 = resilRun(1, cycles1, cor1, con1);
-    std::string snap4 = resilRun(4, cycles4, cor4, con4);
-    EXPECT_GT(cor1, 0u) << "1% over the gather must correct something";
-    EXPECT_GT(con1, 0u) << "5% DRAM poison must trigger a containment";
-    EXPECT_EQ(cor4, cor1);
-    EXPECT_EQ(con4, con1);
-    EXPECT_EQ(cycles4, cycles1);
-    EXPECT_EQ(snap4, snap1);
-}
-
-TEST(ShardedSoc, HostThreadsComeFromTheEnvironment)
-{
-    ::setenv("MAPLE_THREADS", "4", 1);
-    soc::Soc soc(soc::SocConfig::fpga());
-    EXPECT_EQ(soc.config().host_threads, 4u);
-    ::setenv("MAPLE_THREADS", "not-a-number", 1);
-    EXPECT_EQ(soc::hostThreadsFromEnv(2), 2u) << "bad value keeps fallback";
-    ::unsetenv("MAPLE_THREADS");
-    EXPECT_EQ(soc::hostThreadsFromEnv(3), 3u);
-}
-
-// ---------------------------------------------------------------------------
 // SocGrid: multi-chip runs with cross-chip link traffic
 // ---------------------------------------------------------------------------
 
@@ -736,6 +481,22 @@ TEST(ShardedGrid, SnapshotRestoreRunMatchesUninterruptedRun)
                 << "restored chip " << c << " diverged";
         }
     }
+}
+
+TEST(ShardedGrid, HostThreadsComeFromTheEnvironment)
+{
+    soc::SocGridConfig gc =
+        soc::SocGridConfig::uniform(soc::SocConfig::fpga(), 2);
+    gc.host_threads = 3;
+    ::setenv("MAPLE_THREADS", "4", 1);
+    EXPECT_EQ(soc::SocGrid(gc).config().host_threads, 4u);
+    ::setenv("MAPLE_THREADS", "not-a-number", 1);
+    EXPECT_THROW(soc::SocGrid grid(gc), sim::ConfigError);
+    ::setenv("MAPLE_THREADS", "4294967296", 1);  // 2^32 must not wrap to 0
+    EXPECT_THROW(soc::SocGrid grid(gc), sim::ConfigError);
+    ::unsetenv("MAPLE_THREADS");
+    EXPECT_EQ(soc::SocGrid(gc).config().host_threads, 3u)
+        << "unset keeps the configured count";
 }
 
 TEST(ShardedGrid, DeadlockReportsNameTheStuckChip)

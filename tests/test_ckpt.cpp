@@ -18,6 +18,7 @@
 #include "ckpt/serial.hpp"
 #include "ckpt/snapshot.hpp"
 #include "core/maple_runtime.hpp"
+#include "harness/scenario.hpp"
 #include "mem/coherence.hpp"
 #include "mem/resil.hpp"
 #include "sim/coro.hpp"
@@ -557,6 +558,80 @@ TEST(Ckpt, TraceRoundTripsThroughSnapshot)
         soc.tracer()->writeCsv(cs);
         EXPECT_EQ(js.str(), json_a);
         EXPECT_EQ(cs.str(), csv_a);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned images. Every other snapshot test compares a binary with its own
+// snapshots, so it still passes when the writer and the reader change
+// together. These rows pin the bytes themselves, across the configurations
+// that reach every section: tracing, msi with extra LLC slices and the
+// checker, resilience with fault streams, and non-fifo arbiters.
+// ---------------------------------------------------------------------------
+
+std::uint64_t
+fnv1a64(const std::string &bytes)
+{
+    std::uint64_t h = ckpt::kFnvOffset;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= ckpt::kFnvPrime;
+    }
+    return h;
+}
+
+/** Snapshot taken after the warm and measure phases of a maple scenario. */
+std::string
+scenarioImage(const soc::SocConfig &cfg, std::uint32_t rows)
+{
+    soc::Soc soc(cfg);
+    harness::ScenarioSpec spec;
+    spec.rows = rows;
+    spec.technique = "maple";
+    harness::warmScenario(soc, spec);
+    harness::measureScenario(soc, spec);
+    std::stringstream ss;
+    soc.snapshot(ss);
+    return ss.str();
+}
+
+TEST(Ckpt, SnapshotImagesArePinned)
+{
+    // The image bytes are the snapshot format. These constants change only
+    // together with a ckpt::kFormatVersion bump.
+    struct Row {
+        const char *name;
+        soc::SocConfig cfg;
+        std::size_t bytes;
+        std::uint64_t fnv;
+    };
+    soc::SocConfig msi = soc::SocConfig::simulated(4);
+    msi.coherence.mode = mem::CoherenceMode::Msi;
+    msi.coherence.checker = true;
+    msi.llc_slices = 4;
+    soc::SocConfig arb = soc::SocConfig::fpga();
+    arb.llc_arb = mem::ArbPolicy::RoundRobinByClass;
+    arb.dram.arb = mem::ArbPolicy::CorePriority;
+    const Row rows[] = {
+        {"fpga traced", tracedConfig(), 679623, 0xf6c50ebcd68b2300ull},
+        {"simulated(4) msi", msi, 716229, 0x8efbf906f99009afull},
+        {"fpga resil", resilCkptConfig(), 240807, 0xc3d6b606ee9b3e93ull},
+        {"fpga arbiters", arb, 101820, 0xce02778151e3bf92ull},
+    };
+    for (const Row &r : rows) {
+        SCOPED_TRACE(r.name);
+        const std::string image = scenarioImage(r.cfg, 256);
+        EXPECT_EQ(image.size(), r.bytes);
+        EXPECT_EQ(fnv1a64(image), r.fnv)
+            << std::hex << "image hashes to 0x" << fnv1a64(image);
+
+        soc::Soc again(r.cfg);
+        std::istringstream is(image);
+        again.restore(is);
+        std::stringstream out;
+        again.snapshot(out);
+        EXPECT_TRUE(out.str() == image)
+            << "restore -> snapshot must reproduce the image";
     }
 }
 

@@ -6,15 +6,26 @@
  * validates. Every multi-byte value is written byte-by-byte so the format is
  * identical across host endianness and ABI.
  *
+ * Sink and Source answer the same calls, so a component declares its
+ * snapshot state once, as one walk over its fields:
+ * `template <class Ar> void state(Ar &ar)`. On a Sink each call writes the
+ * field; on a Source the same call reads it back. Work that only a restore
+ * does sits behind `if constexpr (Ar::kLoading)`.
+ *
  * Design rules:
+ *  - every call names its wire width (u8/u32/u64);
  *  - doubles travel as IEEE-754 bit patterns (std::bit_cast), never text, so
  *    restore-then-run is bit-identical to an uninterrupted run;
- *  - containers are always length-prefixed (u64 count);
- *  - a Source that runs dry or reads a malformed length throws SnapshotError
+ *  - a structural value the restoring side already has goes through
+ *    expect8/32/64, which a Source checks;
+ *  - containers are always length-prefixed (u64 count), and a Source
+ *    rejects a count larger than the bytes left in its section;
+ *  - a Source that runs dry or reads a malformed value throws SnapshotError
  *    (a sim::FatalError), never silently truncates.
  */
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -22,6 +33,7 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/error.hpp"
@@ -51,6 +63,10 @@ class SnapshotError::BadChecksum : public SnapshotError {
 inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
+/** An integral or enum field, sent as an unsigned integer of a named width. */
+template <class T>
+concept Scalar = std::is_integral_v<T> || std::is_enum_v<T>;
+
 /**
  * Binary writer over a std::ostream. Every byte written also feeds a
  * running FNV-1a hash (hash()), which the snapshot writer emits as a
@@ -58,28 +74,13 @@ inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
  */
 class Sink {
   public:
+    static constexpr bool kLoading = false;
+
     explicit Sink(std::ostream &os) : os_(os) {}
 
-    void
-    u8(std::uint8_t v)
-    {
-        mix(v);
-        os_.put(static_cast<char>(v));
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            u8(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            u8(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    template <Scalar T> void u8(T v) { put(v, 1); }
+    template <Scalar T> void u32(T v) { put(v, 4); }
+    template <Scalar T> void u64(T v) { put(v, 8); }
 
     void b(bool v) { u8(v ? 1 : 0); }
 
@@ -89,7 +90,7 @@ class Sink {
     void
     str(const std::string &s)
     {
-        u64(s.size());
+        count(s.size());
         bytes(s.data(), s.size());
     }
 
@@ -106,9 +107,63 @@ class Sink {
     void
     vecU64(const std::vector<std::uint64_t> &v)
     {
-        u64(v.size());
+        count(v.size());
         for (std::uint64_t x : v)
             u64(x);
+    }
+
+    /// @name Structural values: written here, checked by a Source.
+    /// @{
+    void expect8(std::uint64_t v, const char *) { u8(v); }
+    void expect32(std::uint64_t v, const char *) { u32(v); }
+    void expect64(std::uint64_t v, const char *) { u64(v); }
+    /// @}
+
+    /** A container length. */
+    void count(std::uint64_t n) { u64(n); }
+
+    /** count(), then @p fn on every element in iteration order. */
+    template <class C, class Fn>
+    void
+    seq(C &c, Fn fn)
+    {
+        count(c.size());
+        for (auto &e : c)
+            fn(e);
+    }
+
+    /** count(), then one byte per element. */
+    void
+    bits(const std::vector<bool> &v)
+    {
+        count(v.size());
+        for (bool x : v)
+            b(x);
+    }
+
+    /**
+     * count(), then every entry as (key, @p fn(value)) in ascending key
+     * order, so the bytes do not depend on unordered_map iteration order.
+     * String keys travel as str(), integer keys as u64.
+     */
+    template <class Map, class Fn>
+    void
+    sortedMap(Map &m, Fn fn)
+    {
+        count(m.size());
+        std::vector<typename Map::value_type *> entries;
+        entries.reserve(m.size());
+        for (auto &e : m)
+            entries.push_back(&e);
+        std::sort(entries.begin(), entries.end(),
+                  [](auto *a, auto *b) { return a->first < b->first; });
+        for (auto *e : entries) {
+            if constexpr (std::is_same_v<typename Map::key_type, std::string>)
+                str(e->first);
+            else
+                u64(e->first);
+            fn(e->second);
+        }
     }
 
     /** Running FNV-1a over every byte written so far. */
@@ -118,6 +173,18 @@ class Sink {
     std::ostream &stream() { return os_; }
 
   private:
+    template <Scalar T>
+    void
+    put(T v, int width)
+    {
+        const auto x = static_cast<std::uint64_t>(v);
+        for (int i = 0; i < width; ++i) {
+            const auto byte = static_cast<std::uint8_t>(x >> (8 * i));
+            mix(byte);
+            os_.put(static_cast<char>(byte));
+        }
+    }
+
     void
     mix(std::uint8_t v)
     {
@@ -132,10 +199,14 @@ class Sink {
 /**
  * Binary reader over a std::istream; throws SnapshotError on underrun.
  * Mirrors the Sink's running FNV-1a over every byte consumed (including
- * skipped sections), so a reader can validate the writer's checksum footer.
+ * skipped sections), so a reader can validate the writer's checksum footer,
+ * and counts those bytes, so a length prefix can be checked against what is
+ * left of its section.
  */
 class Source {
   public:
+    static constexpr bool kLoading = true;
+
     explicit Source(std::istream &is) : is_(is) {}
 
     std::uint8_t
@@ -145,39 +216,44 @@ class Source {
         if (c == std::char_traits<char>::eof())
             MAPLE_THROW(SnapshotError, "snapshot truncated");
         mix(static_cast<std::uint8_t>(c));
+        ++pos_;
         return static_cast<std::uint8_t>(c);
     }
 
-    std::uint32_t
-    u32()
-    {
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(u8()) << (8 * i);
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(u8()) << (8 * i);
-        return v;
-    }
-
+    std::uint32_t u32() { return static_cast<std::uint32_t>(get(4)); }
+    std::uint64_t u64() { return get(8); }
     bool b() { return u8() != 0; }
-
     double f64() { return std::bit_cast<double>(u64()); }
 
     std::string
     str()
     {
-        std::uint64_t n = u64();
-        checkLength(n);
-        std::string s(n, '\0');
-        readExact(s.data(), n);
+        std::string s;
+        str(s);
         return s;
+    }
+
+    std::vector<std::uint64_t>
+    vecU64()
+    {
+        std::vector<std::uint64_t> v;
+        vecU64(v);
+        return v;
+    }
+
+    /// @name The Sink's calls, assigning what they read.
+    /// @{
+    template <Scalar T> void u8(T &v) { v = static_cast<T>(u8()); }
+    template <Scalar T> void u32(T &v) { v = static_cast<T>(u32()); }
+    template <Scalar T> void u64(T &v) { v = static_cast<T>(u64()); }
+    void b(bool &v) { v = b(); }
+    void f64(double &v) { v = f64(); }
+
+    void
+    str(std::string &s)
+    {
+        s.resize(length());
+        readExact(s.data(), s.size());
     }
 
     void
@@ -186,16 +262,73 @@ class Source {
         readExact(static_cast<char *>(data), n);
     }
 
-    std::vector<std::uint64_t>
-    vecU64()
+    void
+    vecU64(std::vector<std::uint64_t> &v)
     {
-        std::uint64_t n = u64();
-        checkLength(n);
-        std::vector<std::uint64_t> v(n);
-        for (auto &x : v)
+        v.resize(length());
+        for (std::uint64_t &x : v)
             x = u64();
-        return v;
     }
+
+    void expect8(std::uint64_t v, const char *what) { expect(u8(), v, what); }
+    void expect32(std::uint64_t v, const char *what) { expect(u32(), v, what); }
+    void expect64(std::uint64_t v, const char *what) { expect(u64(), v, what); }
+
+    /** A container length, checked like every other (see length()). */
+    void count(std::uint64_t &n) { n = length(); }
+
+    /** Replaces @p c with count() elements, each filled in by @p fn. */
+    template <class C, class Fn>
+    void
+    seq(C &c, Fn fn)
+    {
+        c.clear();
+        for (std::uint64_t n = length(); n > 0; --n) {
+            typename C::value_type e{};
+            fn(e);
+            c.insert(c.end(), std::move(e));
+        }
+    }
+
+    void
+    bits(std::vector<bool> &v)
+    {
+        v.assign(length(), false);
+        for (std::size_t i = 0; i < v.size(); ++i)
+            v[i] = b();
+    }
+
+    /**
+     * Reads count() (key, value) entries. Each entry is found or created in
+     * place, never erased: components hold pointers into some of these maps.
+     */
+    template <class Map, class Fn>
+    void
+    sortedMap(Map &m, Fn fn)
+    {
+        for (std::uint64_t n = length(); n > 0; --n) {
+            typename Map::key_type k{};
+            if constexpr (std::is_same_v<typename Map::key_type, std::string>)
+                str(k);
+            else
+                u64(k);
+            fn(m.try_emplace(std::move(k)).first->second);
+        }
+    }
+    /// @}
+
+    /**
+     * The next @p len bytes are one section's payload: count() rejects any
+     * length that does not fit in what is left of them.
+     */
+    void
+    beginSection(std::uint64_t len)
+    {
+        section_end_ = pos_ + std::min(len, kNoEnd - pos_);
+    }
+
+    /** Bytes consumed so far. */
+    std::uint64_t pos() const { return pos_; }
 
     /**
      * Skip @p n payload bytes (unknown section tags). Skipped bytes still
@@ -208,11 +341,7 @@ class Source {
         while (n > 0) {
             const std::size_t chunk =
                 static_cast<std::size_t>(std::min<std::uint64_t>(n, sizeof buf));
-            is_.read(buf, static_cast<std::streamsize>(chunk));
-            if (static_cast<std::size_t>(is_.gcount()) != chunk)
-                MAPLE_THROW(SnapshotError, "snapshot truncated during skip");
-            for (std::size_t i = 0; i < chunk; ++i)
-                mix(static_cast<std::uint8_t>(buf[i]));
+            readExact(buf, chunk);
             n -= chunk;
         }
     }
@@ -230,6 +359,40 @@ class Source {
     std::istream &stream() { return is_; }
 
   private:
+    /**
+     * A length prefix. Every element takes at least one byte, so a length
+     * larger than the bytes left in the section can only come from a corrupt
+     * stream: reject it before anything is allocated for it.
+     */
+    std::uint64_t
+    length()
+    {
+        const std::uint64_t n = u64();
+        const std::uint64_t left = section_end_ - std::min(pos_, section_end_);
+        MAPLE_CHECK(n <= left, SnapshotError,
+                    "snapshot length %llu exceeds the %llu bytes left in "
+                    "its section (corrupt stream?)",
+                    (unsigned long long)n, (unsigned long long)left);
+        return n;
+    }
+
+    std::uint64_t
+    get(int width)
+    {
+        std::uint64_t v = 0;
+        for (int i = 0; i < width; ++i)
+            v |= static_cast<std::uint64_t>(u8()) << (8 * i);
+        return v;
+    }
+
+    static void
+    expect(std::uint64_t got, std::uint64_t want, const char *what)
+    {
+        MAPLE_CHECK(got == want, SnapshotError,
+                    "snapshot %s is %llu, this SoC has %llu", what,
+                    (unsigned long long)got, (unsigned long long)want);
+    }
+
     void
     readExact(char *dst, std::size_t n)
     {
@@ -238,6 +401,7 @@ class Source {
             MAPLE_THROW(SnapshotError, "snapshot truncated");
         for (std::size_t i = 0; i < n; ++i)
             mix(static_cast<std::uint8_t>(dst[i]));
+        pos_ += n;
     }
 
     void
@@ -247,19 +411,12 @@ class Source {
         hash_ *= kFnvPrime;
     }
 
-    static void
-    checkLength(std::uint64_t n)
-    {
-        // A length prefix far beyond any plausible snapshot means the stream
-        // is corrupt; fail before trying to allocate it.
-        if (n > (1ull << 40))
-            MAPLE_THROW(SnapshotError,
-                        "implausible snapshot length %llu (corrupt stream?)",
-                        (unsigned long long)n);
-    }
-
     std::istream &is_;
     std::uint64_t hash_ = kFnvOffset;
+    std::uint64_t pos_ = 0;
+    static constexpr std::uint64_t kNoEnd = ~std::uint64_t{0};
+    /** End of the current section's payload (pos() units). */
+    std::uint64_t section_end_ = kNoEnd;
 };
 
 /**

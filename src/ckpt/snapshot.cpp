@@ -119,61 +119,56 @@ Soc::snapshot(std::ostream &os)
         w.finish();
     };
 
-    writeSection(ckpt::Section::Engine, [this](ckpt::Sink &s) {
-        sim::EventQueue::EngineState st = eq_.engineState();
-        s.u64(st.now);
-        s.u64(st.seq);
-        s.u64(st.executed);
-        s.u64(st.next_ticket);
-    });
+    writeSection(ckpt::Section::Engine,
+                 [this](ckpt::Sink &s) { eq_.engineState().state(s); });
     writeSection(ckpt::Section::Kernel,
-                 [this](ckpt::Sink &s) { kernel_->saveState(s); });
+                 [this](ckpt::Sink &s) { kernel_->state(s); });
     writeSection(ckpt::Section::PhysMem,
-                 [this](ckpt::Sink &s) { pm_->saveState(s); });
+                 [this](ckpt::Sink &s) { pm_->state(s); });
     writeSection(ckpt::Section::Mesh,
-                 [this](ckpt::Sink &s) { mesh_->saveState(s); });
+                 [this](ckpt::Sink &s) { mesh_->state(s); });
     writeSection(ckpt::Section::Dram,
-                 [this](ckpt::Sink &s) { dram_->saveState(s); });
+                 [this](ckpt::Sink &s) { dram_->state(s); });
     writeSection(ckpt::Section::LlcFront,
-                 [this](ckpt::Sink &s) { llc_front_->saveState(s); });
+                 [this](ckpt::Sink &s) { llc_front_->state(s); });
     writeSection(ckpt::Section::Llc,
-                 [this](ckpt::Sink &s) { llc_->saveState(s); });
+                 [this](ckpt::Sink &s) { llc_->state(s); });
     // Extra LLC slices and the coherence fabric (msi mode only). Written
     // before the Core sections: restore resets the reference checker when
-    // it sees the Directory section, and the per-core Cache::loadState
-    // calls that follow re-seed the checker with every held line.
+    // it sees the Directory section, and the per-core L1 walks that follow
+    // re-seed the checker with every held line.
     if (coh_) {
         for (unsigned s = 1; s < cfg_.llc_slices; ++s) {
             writeSection(ckpt::Section::SliceLlc, [this, s](ckpt::Sink &sk) {
                 sk.u32(s);
-                slice_llcs_[s - 1]->saveState(sk);
+                slice_llcs_[s - 1]->state(sk);
             });
         }
         writeSection(ckpt::Section::Directory,
-                     [this](ckpt::Sink &s) { coh_->saveState(s); });
+                     [this](ckpt::Sink &s) { coh_->state(s); });
     }
     for (unsigned i = 0; i < numCores(); ++i) {
         writeSection(ckpt::Section::Core, [this, i](ckpt::Sink &s) {
             s.u32(i);
-            l1s_[i]->saveState(s);
-            cores_[i]->saveState(s);
+            l1s_[i]->state(s);
+            cores_[i]->state(s);
         });
     }
     for (unsigned i = 0; i < numMaples(); ++i) {
         writeSection(ckpt::Section::Maple, [this, i](ckpt::Sink &s) {
             s.u32(i);
-            maples_[i]->saveState(s);
+            maples_[i]->state(s);
         });
     }
     writeSection(ckpt::Section::Fault,
-                 [this](ckpt::Sink &s) { fault_->saveState(s); });
+                 [this](ckpt::Sink &s) { fault_->state(s); });
     if (resil_) {
         writeSection(ckpt::Section::Resil,
-                     [this](ckpt::Sink &s) { resil_->saveState(s); });
+                     [this](ckpt::Sink &s) { resil_->state(s); });
     }
     if (tracer_) {
         writeSection(ckpt::Section::Trace,
-                     [this](ckpt::Sink &s) { tracer_->saveState(s); });
+                     [this](ckpt::Sink &s) { tracer_->state(s); });
     }
 
     // Integrity footer: FNV-1a over every byte written so far, captured
@@ -217,22 +212,20 @@ Soc::restore(std::istream &is)
         const std::uint64_t pre_section_hash = in.hash();
         std::uint32_t tag = in.u32();
         std::uint64_t len = in.u64();
-        std::streampos start = is.tellg();
+        const std::uint64_t start = in.pos();
+        in.beginSection(len);
         switch (static_cast<ckpt::Section>(tag)) {
         case ckpt::Section::Engine: {
             sim::EventQueue::EngineState st;
-            st.now = in.u64();
-            st.seq = in.u64();
-            st.executed = in.u64();
-            st.next_ticket = in.u64();
+            st.state(in);
             eq_.setEngineState(st);
             break;
         }
         case ckpt::Section::Kernel:
-            kernel_->loadState(in);
+            kernel_->state(in);
             break;
         case ckpt::Section::PhysMem:
-            pm_->loadState(in);
+            pm_->state(in);
             // Process address spaces exist again and physical memory holds
             // the snapshot's page tables: re-create the core-MMU wiring that
             // Soc::createProcess() installs. Per-core MMU root and TLB
@@ -242,54 +235,54 @@ Soc::restore(std::istream &is)
                     proc->attachMmu(&core->mmu());
             break;
         case ckpt::Section::Mesh:
-            mesh_->loadState(in);
+            mesh_->state(in);
             break;
         case ckpt::Section::Dram:
-            dram_->loadState(in);
+            dram_->state(in);
             break;
         case ckpt::Section::LlcFront:
-            llc_front_->loadState(in);
+            llc_front_->state(in);
             break;
         case ckpt::Section::Llc:
-            llc_->loadState(in);
+            llc_->state(in);
             break;
         case ckpt::Section::SliceLlc: {
             std::uint32_t s = in.u32();
             MAPLE_CHECK(coh_ && s >= 1 && s < cfg_.llc_slices,
                         ckpt::SnapshotError,
                         "snapshot LLC slice index %u out of range", s);
-            slice_llcs_[s - 1]->loadState(in);
+            slice_llcs_[s - 1]->state(in);
             break;
         }
         case ckpt::Section::Directory:
             // Config-hash gating means an msi stream only restores into an
             // msi Soc, so coh_ exists. Start the reference checker from a
             // clean slate here; the Core sections that follow re-seed it
-            // via Cache::loadState with exactly the lines each L1 holds.
+            // via Cache::state with exactly the lines each L1 holds.
             MAPLE_CHECK(coh_ != nullptr, ckpt::SnapshotError,
                         "snapshot has coherence state but this SoC runs "
                         "--coherence=none");
             if (mem::CoherenceChecker *ck = coh_->checker())
                 ck->reset();
-            coh_->loadState(in);
+            coh_->state(in);
             break;
         case ckpt::Section::Core: {
             std::uint32_t i = in.u32();
             MAPLE_CHECK(i < numCores(), ckpt::SnapshotError,
                         "snapshot core index %u out of range", i);
-            l1s_[i]->loadState(in);
-            cores_[i]->loadState(in);
+            l1s_[i]->state(in);
+            cores_[i]->state(in);
             break;
         }
         case ckpt::Section::Maple: {
             std::uint32_t i = in.u32();
             MAPLE_CHECK(i < numMaples(), ckpt::SnapshotError,
                         "snapshot MAPLE index %u out of range", i);
-            maples_[i]->loadState(in);
+            maples_[i]->state(in);
             break;
         }
         case ckpt::Section::Fault:
-            fault_->loadState(in);
+            fault_->state(in);
             break;
         case ckpt::Section::Resil:
             // Like Trace, a runtime variant axis: a stream captured with
@@ -297,13 +290,13 @@ Soc::restore(std::istream &is)
             // without it (the warm image is identical; only RAS telemetry
             // and poison bookkeeping are dropped).
             if (resil_)
-                resil_->loadState(in);
+                resil_->state(in);
             else
                 in.skip(len);
             break;
         case ckpt::Section::Trace:
             if (tracer_)
-                tracer_->loadState(in);
+                tracer_->state(in);
             else
                 in.skip(len);
             break;
@@ -328,15 +321,10 @@ Soc::restore(std::istream &is)
             in.skip(len);  // unknown section from a richer writer
             break;
         }
-        if (start != std::streampos(-1)) {
-            std::streampos end = is.tellg();
-            MAPLE_CHECK(end != std::streampos(-1) &&
-                            static_cast<std::uint64_t>(end - start) == len,
-                        ckpt::SnapshotError,
-                        "section tag %u consumed %llu bytes, expected %llu",
-                        tag, (unsigned long long)(end - start),
-                        (unsigned long long)len);
-        }
+        MAPLE_CHECK(in.pos() - start == len, ckpt::SnapshotError,
+                    "section tag %u consumed %llu bytes, expected %llu", tag,
+                    (unsigned long long)(in.pos() - start),
+                    (unsigned long long)len);
     }
     // A v2 stream always ends with the footer: running off the end of the
     // stream without seeing one means the tail was cut off at a section

@@ -978,115 +978,63 @@ Maple::limaOne(const LimaCmd &cmd)
     }
 }
 
+template <class Ar>
 void
-Maple::saveState(ckpt::Sink &out) const
+Maple::state(Ar &ar)
 {
     MAPLE_ASSERT(produce_inflight_ == 0 && mmio_pending_ == 0 &&
                      !pipe_head_held_ && lima_cmds_.empty() && !lima_running_,
-                 "snapshot with in-flight MAPLE work");
-    out.u32(params_.max_queues);
-    for (const MapleQueue &q : queues_)
-        q.saveState(out);
-    for (unsigned g : queue_generation_)
-        out.u32(g);
-    for (unsigned g : queue_abort_epoch_)
-        out.u32(g);
-    for (std::uint8_t s : queue_status_)
-        out.u8(s);
-    for (std::uint8_t s : produce_status_)
-        out.u8(s);
-    for (std::uint8_t s : consume_status_)
-        out.u8(s);
-    for (sim::Cycle t : queue_timeout_)
-        out.u64(t);
-    for (const ErrorState &e : err_) {
-        out.b(e.valid);
-        out.u32(static_cast<std::uint32_t>(e.cause));
-        out.u64(e.addr);
-        out.u32(e.count);
-        out.u64(e.latched_at);
-    }
-    for (std::uint8_t q : quiesced_)
-        out.u8(q);
-    out.vecU64(accept_count_);
-    out.u64(produce_free_);
-    out.u64(consume_free_);
-    out.u64(config_free_);
-    out.u64(mmio_release_);
-    for (unsigned p : produce_inflight_q_)
-        out.u32(p);
-    out.vecU64(amo_addend_);
-    out.vecU64(amo_seq_alloc_);
-    out.vecU64(amo_seq_commit_);
-    out.u64(lima_a_base_);
-    out.u64(lima_b_base_);
-    out.u64(lima_range_);
-    out.u64(last_fault_vaddr_);
-    for (const sim::Counter &c : counters_)
-        c.saveState(out);
-    stats_.saveState(out);
-    mmu_.saveState(out);
-    // Cached lane-group handles: the tracer's table round-trips, so the ids
-    // must too or a restored device would mint duplicate lane groups.
-    out.u32(tr_produce_);
-    out.u32(tr_consume_);
-    out.u32(tr_config_);
-}
-
-void
-Maple::loadState(ckpt::Source &in)
-{
-    MAPLE_ASSERT(produce_inflight_ == 0 && mmio_pending_ == 0 &&
-                     !pipe_head_held_ && lima_cmds_.empty() && !lima_running_,
-                 "restore with in-flight MAPLE work");
-    std::uint32_t nq = in.u32();
-    MAPLE_CHECK(nq == params_.max_queues, ckpt::SnapshotError,
-                "MAPLE queue-count mismatch in snapshot (%s)",
-                params_.name.c_str());
+                 "snapshot/restore with in-flight MAPLE work");
+    ar.expect32(params_.max_queues, "MAPLE queue count");
     for (MapleQueue &q : queues_)
-        q.loadState(in);
+        q.state(ar);
     for (unsigned &g : queue_generation_)
-        g = in.u32();
+        ar.u32(g);
     for (unsigned &g : queue_abort_epoch_)
-        g = in.u32();
+        ar.u32(g);
     for (std::uint8_t &s : queue_status_)
-        s = in.u8();
+        ar.u8(s);
     for (std::uint8_t &s : produce_status_)
-        s = in.u8();
+        ar.u8(s);
     for (std::uint8_t &s : consume_status_)
-        s = in.u8();
+        ar.u8(s);
     for (sim::Cycle &t : queue_timeout_)
-        t = in.u64();
+        ar.u64(t);
     for (ErrorState &e : err_) {
-        e.valid = in.b();
-        e.cause = static_cast<fault::FaultClass>(in.u32());
-        e.addr = in.u64();
-        e.count = in.u32();
-        e.latched_at = in.u64();
+        ar.b(e.valid);
+        ar.u32(e.cause);
+        ar.u64(e.addr);
+        ar.u32(e.count);
+        ar.u64(e.latched_at);
     }
     for (std::uint8_t &q : quiesced_)
-        q = in.u8();
-    accept_count_ = in.vecU64();
-    produce_free_ = in.u64();
-    consume_free_ = in.u64();
-    config_free_ = in.u64();
-    mmio_release_ = in.u64();
+        ar.u8(q);
+    ar.vecU64(accept_count_);
+    ar.u64(produce_free_);
+    ar.u64(consume_free_);
+    ar.u64(config_free_);
+    ar.u64(mmio_release_);
     for (unsigned &p : produce_inflight_q_)
-        p = in.u32();
-    amo_addend_ = in.vecU64();
-    amo_seq_alloc_ = in.vecU64();
-    amo_seq_commit_ = in.vecU64();
-    lima_a_base_ = in.u64();
-    lima_b_base_ = in.u64();
-    lima_range_ = in.u64();
-    last_fault_vaddr_ = in.u64();
+        ar.u32(p);
+    ar.vecU64(amo_addend_);
+    ar.vecU64(amo_seq_alloc_);
+    ar.vecU64(amo_seq_commit_);
+    ar.u64(lima_a_base_);
+    ar.u64(lima_b_base_);
+    ar.u64(lima_range_);
+    ar.u64(last_fault_vaddr_);
     for (sim::Counter &c : counters_)
-        c.loadState(in);
-    stats_.loadState(in);
-    mmu_.loadState(in);
-    tr_produce_ = in.u32();
-    tr_consume_ = in.u32();
-    tr_config_ = in.u32();
+        c.state(ar);
+    stats_.state(ar);
+    mmu_.state(ar);
+    // Cached lane-group handles: the tracer's table round-trips, so the ids
+    // must too or a restored device would mint duplicate lane groups.
+    ar.u32(tr_produce_);
+    ar.u32(tr_consume_);
+    ar.u32(tr_config_);
 }
+
+template void Maple::state(ckpt::Sink &);
+template void Maple::state(ckpt::Source &);
 
 }  // namespace maple::core

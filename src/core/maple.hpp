@@ -157,8 +157,7 @@ class Maple : public soc::MmioDevice {
      * commands. The error callback and driver fault handler are host-side
      * and re-installed by the attach path after restore.
      */
-    void saveState(ckpt::Sink &out) const;
-    void loadState(ckpt::Source &in);
+    template <class Ar> void state(Ar &ar);
 
   private:
     struct LimaCmd {

@@ -211,45 +211,23 @@ class MapleQueue {
      * Snapshot support. The wait Signals are not serialized: at a quiesced
      * point no producer/consumer coroutine is parked on them.
      */
+    template <class Ar>
     void
-    saveState(ckpt::Sink &out) const
+    state(Ar &ar)
     {
-        out.b(configured_);
-        out.b(open_);
-        out.u32(capacity_);
-        out.u32(entry_bytes_);
-        out.vecU64(data_);
-        out.u64(valid_.size());
-        for (bool v : valid_)
-            out.b(v);
-        out.u64(poisoned_.size());
-        for (bool p : poisoned_)
-            out.b(p);
-        out.u32(head_);
-        out.u32(tail_);
-        out.u32(reserved_);
-        out.u32(peak_occupancy_);
-    }
-
-    void
-    loadState(ckpt::Source &in)
-    {
-        configured_ = in.b();
-        open_ = in.b();
-        capacity_ = in.u32();
-        entry_bytes_ = in.u32();
-        data_ = in.vecU64();
-        valid_.assign(in.u64(), false);
-        for (std::size_t i = 0; i < valid_.size(); ++i)
-            valid_[i] = in.b();
-        poisoned_.assign(in.u64(), false);
-        for (std::size_t i = 0; i < poisoned_.size(); ++i)
-            poisoned_[i] = in.b();
-        head_ = in.u32();
-        tail_ = in.u32();
-        reserved_ = in.u32();
-        peak_occupancy_ = in.u32();
-        pulseWaiters();
+        ar.b(configured_);
+        ar.b(open_);
+        ar.u32(capacity_);
+        ar.u32(entry_bytes_);
+        ar.vecU64(data_);
+        ar.bits(valid_);
+        ar.bits(poisoned_);
+        ar.u32(head_);
+        ar.u32(tail_);
+        ar.u32(reserved_);
+        ar.u32(peak_occupancy_);
+        if constexpr (Ar::kLoading)
+            pulseWaiters();
     }
 
   private:

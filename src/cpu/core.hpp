@@ -129,28 +129,18 @@ class Core {
      * drained (no background stores in flight), so the restorable state is
      * the MMU/TLB plus the counters.
      */
+    template <class Ar>
     void
-    saveState(ckpt::Sink &out) const
+    state(Ar &ar)
     {
         MAPLE_ASSERT(store_buffer_used_ == 0,
-                     "snapshot with undrained store buffer");
-        mmu_.saveState(out);
-        stats_.saveState(out);
-        load_latency_.saveState(out);
+                     "snapshot/restore with undrained store buffer");
+        mmu_.state(ar);
+        stats_.state(ar);
+        load_latency_.state(ar);
         // Cached trace-track handle: the tracer's track table round-trips,
         // so the id must too or a restored core would mint a duplicate.
-        out.u32(tr_track_);
-    }
-
-    void
-    loadState(ckpt::Source &in)
-    {
-        MAPLE_ASSERT(store_buffer_used_ == 0,
-                     "restore with undrained store buffer");
-        mmu_.loadState(in);
-        stats_.loadState(in);
-        load_latency_.loadState(in);
-        tr_track_ = in.u32();
+        ar.u32(tr_track_);
     }
 
   private:

@@ -75,8 +75,7 @@ FaultPlan::draw(FaultClass c)
 }
 
 FaultInjector::FaultInjector(sim::EventQueue &eq, FaultConfig cfg)
-    : eq_(eq), cfg_(cfg), plan_(cfg), injecting_(cfg.anyEnabled()),
-      recovery_rng_(cfg.seed ^ 0x2545f4914f6cdd1dull)
+    : eq_(eq), cfg_(cfg), plan_(cfg), injecting_(cfg.anyEnabled())
 {
     eq_.attachFaultInjector(this);
     if (injecting_) {
@@ -90,6 +89,11 @@ FaultInjector::FaultInjector(sim::EventQueue &eq, FaultConfig cfg)
                      cfg_.mmio.prob, (unsigned long long)cfg_.mmio.max_extra,
                      cfg_.hard_spad.prob, cfg_.hard_tlb.prob);
     }
+}
+
+FaultInjector::PlanState::PlanState(const FaultConfig &cfg)
+    : streams(cfg), recovery_rng(cfg.seed ^ 0x2545f4914f6cdd1dull)
+{
 }
 
 FaultInjector::~FaultInjector()
@@ -164,14 +168,14 @@ instantName(FaultClass c)
 sim::Cycle
 FaultInjector::inject(FaultClass c)
 {
-    sim::Cycle extra = plan_.draw(c);
+    sim::Cycle extra = plan_.streams.draw(c);
     if (extra == 0)
         return 0;
-    ++counts_[static_cast<std::size_t>(c)];
+    ++plan_.counts[static_cast<std::size_t>(c)];
     // Hard faults carry no latency magnitude; log them with extra 0.
-    event_log_[event_count_ % kEventLog] = {eq_.now(), c,
-                                            isHardFault(c) ? 0 : extra};
-    ++event_count_;
+    plan_.event_log[plan_.event_count % kEventLog] = {
+        eq_.now(), c, isHardFault(c) ? 0 : extra};
+    ++plan_.event_count;
     if (trace::TraceManager *t = trace::active(eq_)) {
         if (tr_track_ == trace::TraceManager::kNone)
             tr_track_ = t->track("faults");
@@ -184,10 +188,11 @@ std::vector<FaultEvent>
 FaultInjector::recentFaults() const
 {
     std::vector<FaultEvent> out;
-    const std::uint64_t n = std::min<std::uint64_t>(event_count_, kEventLog);
+    const std::uint64_t total = plan_.event_count;
+    const std::uint64_t n = std::min<std::uint64_t>(total, kEventLog);
     out.reserve(n);
-    for (std::uint64_t i = event_count_ - n; i < event_count_; ++i)
-        out.push_back(event_log_[i % kEventLog]);
+    for (std::uint64_t i = total - n; i < total; ++i)
+        out.push_back(plan_.event_log[i % kEventLog]);
     return out;
 }
 
@@ -242,7 +247,7 @@ FaultInjector::chargeCycles(FaultClass c, sim::Cycle cycles)
 {
     if (cycles == 0)
         return;
-    cycles_[static_cast<std::size_t>(c)] += cycles;
+    plan_.cycles[static_cast<std::size_t>(c)] += cycles;
     if (trace::TraceManager *t = trace::active(eq_))
         t->attributeStall(stallCauseOf(c), cycles);
 }
@@ -278,22 +283,22 @@ FaultInjector::livenessReport() const
             os << "  " << d.name << ": " << d.fn() << "\n";
     }
     bool any_injected = false;
-    for (std::uint64_t n : counts_)
+    for (std::uint64_t n : plan_.counts)
         any_injected |= n != 0;
     if (any_injected) {
         os << "injected faults:\n";
-        for (std::size_t i = 0; i < counts_.size(); ++i) {
-            if (counts_[i] == 0)
+        for (std::size_t i = 0; i < kClasses; ++i) {
+            if (plan_.counts[i] == 0)
                 continue;
             os << "  " << faultClassName(static_cast<FaultClass>(i)) << ": "
-               << counts_[i] << " (" << cycles_[i] << " cycles)\n";
+               << plan_.counts[i] << " (" << plan_.cycles[i] << " cycles)\n";
         }
         // The tail of the injection event log makes hang reports
         // self-contained: the last faults before the stall are usually the
         // trigger, and reproducing them needs only (seed, class, cycle).
         os << "recent injected faults (last "
-           << std::min<std::uint64_t>(event_count_, kEventLog) << " of "
-           << event_count_ << "):\n";
+           << std::min<std::uint64_t>(plan_.event_count, kEventLog) << " of "
+           << plan_.event_count << "):\n";
         for (const FaultEvent &e : recentFaults()) {
             os << "  - cycle " << e.cycle << ": " << faultClassName(e.cls);
             if (e.extra > 0)
@@ -355,66 +360,48 @@ FaultInjector::configFingerprint() const
     return h;
 }
 
+template <class Ar>
 void
-FaultInjector::saveState(ckpt::Sink &out) const
+FaultInjector::PlanState::state(Ar &ar)
 {
-    MAPLE_ASSERT(parked_count_ == 0 && masked_owners_.empty(),
-                 "snapshot with parked waiters or masked owners");
-    out.u64(configFingerprint());
-    plan_.saveState(out);
-    for (std::uint64_t c : counts_)
-        out.u64(c);
-    for (std::uint64_t c : cycles_)
-        out.u64(c);
-    for (const FaultEvent &e : event_log_) {
-        out.u64(e.cycle);
-        out.u32(static_cast<std::uint32_t>(e.cls));
-        out.u64(e.extra);
+    streams.state(ar);
+    for (std::uint64_t &c : counts)
+        ar.u64(c);
+    for (std::uint64_t &c : cycles)
+        ar.u64(c);
+    for (FaultEvent &e : event_log) {
+        ar.u64(e.cycle);
+        ar.u32(e.cls);
+        ar.u64(e.extra);
     }
-    out.u64(event_count_);
-    for (std::uint64_t w : recovery_rng_.state())
-        out.u64(w);
-    out.u32(tr_track_);  // cached trace-track id (tracer table round-trips)
+    ar.u64(event_count);
+    recovery_rng.state(ar);
 }
 
+template <class Ar>
 void
-FaultInjector::loadState(ckpt::Source &in)
+FaultInjector::state(Ar &ar)
 {
     MAPLE_ASSERT(parked_count_ == 0 && masked_owners_.empty(),
-                 "restore with parked waiters or masked owners");
-    const bool same_plan = in.u64() == configFingerprint();
-    // Always consume the section; apply it only when the restoring injector
-    // runs the identical fault configuration. A campaign variant with a
-    // different plan keeps its freshly-seeded streams.
-    FaultPlan plan(cfg_);
-    plan.loadState(in);
-    decltype(counts_) counts{};
-    decltype(cycles_) cycles{};
-    for (std::uint64_t &c : counts)
-        c = in.u64();
-    for (std::uint64_t &c : cycles)
-        c = in.u64();
-    decltype(event_log_) log{};
-    for (FaultEvent &e : log) {
-        e.cycle = in.u64();
-        e.cls = static_cast<FaultClass>(in.u32());
-        e.extra = in.u64();
+                 "snapshot/restore with parked waiters or masked owners");
+    // The section is always consumed, but it applies only when the
+    // restoring injector runs the identical fault configuration. A campaign
+    // variant with a different plan reads it into a scratch copy and keeps
+    // its own streams.
+    std::uint64_t fingerprint = configFingerprint();
+    ar.u64(fingerprint);
+    if (Ar::kLoading && fingerprint != configFingerprint()) {
+        PlanState scratch = plan_;
+        scratch.state(ar);
+    } else {
+        plan_.state(ar);
     }
-    std::uint64_t event_count = in.u64();
-    sim::Rng::State rec{};
-    for (std::uint64_t &w : rec)
-        w = in.u64();
     // The trace-track handle tracks the tracer's table, which round-trips
     // independently of the fault plan: restore it unconditionally.
-    tr_track_ = in.u32();
-    if (!same_plan)
-        return;
-    plan_ = plan;
-    counts_ = counts;
-    cycles_ = cycles;
-    event_log_ = log;
-    event_count_ = event_count;
-    recovery_rng_.setState(rec);
+    ar.u32(tr_track_);
 }
+
+template void FaultInjector::state(ckpt::Sink &);
+template void FaultInjector::state(ckpt::Source &);
 
 }  // namespace maple::fault

@@ -148,24 +148,12 @@ class FaultPlan {
     }
 
     /** Snapshot support: stream positions only (rates come from config). */
+    template <class Ar>
     void
-    saveState(ckpt::Sink &out) const
+    state(Ar &ar)
     {
-        for (const sim::Rng &r : streams_) {
-            for (std::uint64_t w : r.state())
-                out.u64(w);
-        }
-    }
-
-    void
-    loadState(ckpt::Source &in)
-    {
-        for (sim::Rng &r : streams_) {
-            sim::Rng::State st;
-            for (std::uint64_t &w : st)
-                w = in.u64();
-            r.setState(st);
-        }
+        for (sim::Rng &r : streams_)
+            r.state(ar);
     }
 
   private:
@@ -235,11 +223,11 @@ class FaultInjector {
 
     std::uint64_t injectedCount(FaultClass c) const
     {
-        return counts_[static_cast<std::size_t>(c)];
+        return plan_.counts[static_cast<std::size_t>(c)];
     }
     std::uint64_t injectedCycles(FaultClass c) const
     {
-        return cycles_[static_cast<std::size_t>(c)];
+        return plan_.cycles[static_cast<std::size_t>(c)];
     }
 
     /**
@@ -251,7 +239,7 @@ class FaultInjector {
     sim::Cycle
     recoveryJitter(sim::Cycle bound)
     {
-        return bound > 1 ? recovery_rng_.below(bound) : 0;
+        return bound > 1 ? plan_.recovery_rng.below(bound) : 0;
     }
 
     /** Last recorded injections, oldest first (bounded ring, see kEventLog). */
@@ -307,8 +295,7 @@ class FaultInjector {
      * which case the restored injector keeps its fresh streams. Parked
      * waiters and owner masks must be empty at both ends (quiesced SoC).
      */
-    void saveState(ckpt::Sink &out) const;
-    void loadState(ckpt::Source &in);
+    template <class Ar> void state(Ar &ar);
 
     /** Hash of the injection-relevant configuration (seed, rates, mask). */
     std::uint64_t configFingerprint() const;
@@ -344,15 +331,33 @@ class FaultInjector {
         std::function<std::string()> fn;
     };
 
+    static constexpr std::size_t kClasses =
+        static_cast<std::size_t>(FaultClass::kCount);
+    /** Bounded ring of recent injections for self-contained hang reports. */
+    static constexpr std::size_t kEventLog = 16;
+
+    /**
+     * Everything the fault configuration drives: the draw streams, the
+     * per-class totals, the injection log and the retry-jitter stream. A
+     * restore applies it only under the same configuration (see state()).
+     */
+    struct PlanState {
+        explicit PlanState(const FaultConfig &cfg);
+        template <class Ar> void state(Ar &ar);
+
+        FaultPlan streams;
+        std::array<std::uint64_t, kClasses> counts{};
+        std::array<std::uint64_t, kClasses> cycles{};
+        std::array<FaultEvent, kEventLog> event_log{};
+        std::uint64_t event_count = 0;
+        /** Dedicated stream for driver retry-backoff jitter. */
+        sim::Rng recovery_rng;
+    };
+
     sim::EventQueue &eq_;
     FaultConfig cfg_;
-    FaultPlan plan_;
+    PlanState plan_;
     bool injecting_ = false;
-
-    std::array<std::uint64_t, static_cast<std::size_t>(FaultClass::kCount)>
-        counts_{};
-    std::array<std::uint64_t, static_cast<std::size_t>(FaultClass::kCount)>
-        cycles_{};
 
     ParkNode *parked_head_ = nullptr;
     unsigned parked_count_ = 0;
@@ -360,14 +365,6 @@ class FaultInjector {
 
     /** Owners (stable name addresses) excluded from watchdog accounting. */
     std::vector<const std::string *> masked_owners_;
-
-    /** Bounded ring of recent injections for self-contained hang reports. */
-    static constexpr std::size_t kEventLog = 16;
-    std::array<FaultEvent, kEventLog> event_log_{};
-    std::uint64_t event_count_ = 0;
-
-    /** Dedicated stream for driver retry-backoff jitter (see recoveryJitter). */
-    sim::Rng recovery_rng_;
 
     /// Lazily-created trace track for fault instants.
     trace::TraceManager::TrackId tr_track_ = trace::TraceManager::kNone;

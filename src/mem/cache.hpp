@@ -137,70 +137,43 @@ class Cache : public Port, public CoherentCache {
      * Snapshot support. Only valid at a quiesced point: with no in-flight
      * fills the MSHR table is empty and the restorable state is the tag
      * array, the LRU clock and the stats. Coherent caches additionally
-     * write the per-line MSI state (the transient table must be empty).
+     * carry the per-line MSI state (the transient table must be empty), and
+     * a restore re-seeds the reference checker with every line held.
      */
+    template <class Ar>
     void
-    saveState(ckpt::Sink &out) const
+    state(Ar &ar)
     {
-        MAPLE_ASSERT(mshrs_.empty(), "snapshot with in-flight cache fills");
-        MAPLE_ASSERT(tstate_.empty(), "snapshot with transient MSI state");
-        out.u64(num_sets_);
-        out.u64(params_.assoc);
-        for (const auto &set : sets_) {
-            for (const Way &w : set) {
-                out.u64(w.tag);
-                out.b(w.valid);
-                out.b(w.dirty);
-                out.b(w.poisoned);
-                out.u64(w.lru);
-                if (fabric_)
-                    out.u8(static_cast<std::uint8_t>(w.coh));
-            }
-        }
-        out.u64(lru_clock_);
-        // The recently-invalidated ring classifies coherence misses; it is
-        // real machine state (a restored run must bucket the same misses
-        // the same way), so it round-trips with the tags.
-        for (sim::Addr a : recent_inv_)
-            out.u64(a);
-        out.u64(recent_inv_next_);
-        stats_.saveState(out);
-        out.u32(tr_miss_);  // cached lane-group id (tracer table round-trips)
-    }
-
-    void
-    loadState(ckpt::Source &in)
-    {
-        MAPLE_ASSERT(mshrs_.empty(), "restore with in-flight cache fills");
-        MAPLE_ASSERT(tstate_.empty(), "restore with transient MSI state");
-        std::uint64_t sets = in.u64();
-        std::uint64_t assoc = in.u64();
-        MAPLE_CHECK(sets == num_sets_ && assoc == params_.assoc,
-                    ckpt::SnapshotError,
-                    "cache geometry mismatch in snapshot (%s)",
-                    params_.name.c_str());
+        MAPLE_ASSERT(mshrs_.empty() && tstate_.empty(),
+                     "snapshot/restore with in-flight fills or MSI transients");
+        ar.expect64(num_sets_, "cache set count");
+        ar.expect64(params_.assoc, "cache associativity");
         for (auto &set : sets_) {
             for (Way &w : set) {
-                w.tag = in.u64();
-                w.valid = in.b();
-                w.dirty = in.b();
-                w.poisoned = in.b();
-                w.lru = in.u64();
-                if (fabric_) {
-                    w.coh = static_cast<MsiState>(in.u8());
-                    if (w.valid && w.coh != MsiState::I) {
-                        if (CoherenceChecker *ck = fabric_->checker())
-                            ck->seedHolder(coh_id_, w.tag, w.coh);
-                    }
+                ar.u64(w.tag);
+                ar.b(w.valid);
+                ar.b(w.dirty);
+                ar.b(w.poisoned);
+                ar.u64(w.lru);
+                if (!fabric_)
+                    continue;
+                ar.u8(w.coh);
+                if constexpr (Ar::kLoading) {
+                    CoherenceChecker *ck = checker();
+                    if (ck && w.valid && w.coh != MsiState::I)
+                        ck->seedHolder(coh_id_, w.tag, w.coh);
                 }
             }
         }
-        lru_clock_ = in.u64();
+        ar.u64(lru_clock_);
+        // The recently-invalidated ring classifies coherence misses; it is
+        // real machine state (a restored run must bucket the same misses
+        // the same way), so it round-trips with the tags.
         for (sim::Addr &a : recent_inv_)
-            a = in.u64();
-        recent_inv_next_ = static_cast<unsigned>(in.u64());
-        stats_.loadState(in);
-        tr_miss_ = in.u32();
+            ar.u64(a);
+        ar.u64(recent_inv_next_);
+        stats_.state(ar);
+        ar.u32(tr_miss_);  // cached lane-group id (tracer table round-trips)
     }
 
   private:

@@ -511,54 +511,33 @@ Directory::dmaTransaction(MemRequest req, sim::Addr line, bool write)
     unlock(line);
 }
 
+template <class Ar>
 void
-Directory::saveState(ckpt::Sink &out) const
+Directory::state(Ar &ar)
 {
-    MAPLE_ASSERT(busy_.empty(), "snapshot with directory transactions live");
-    MAPLE_ASSERT(stale_putms_.empty(), "snapshot with PutMs in flight");
-    out.u64(num_sets_);
-    out.u64(cfg_.dir_assoc);
-    for (const auto &set : sets_) {
-        for (const Entry &e : set) {
-            out.u64(e.tag);
-            out.b(e.valid);
-            out.u64(static_cast<std::uint64_t>(e.owner + 1));
-            out.u64(e.sharers.size());
-            for (unsigned s : e.sharers)
-                out.u32(s);
-            out.u64(e.lru);
-        }
-    }
-    out.u64(lru_clock_);
-    out.u64(live_entries_);
-    stats_.saveState(out);
-}
-
-void
-Directory::loadState(ckpt::Source &in)
-{
-    MAPLE_ASSERT(busy_.empty(), "restore with directory transactions live");
-    MAPLE_ASSERT(stale_putms_.empty(), "restore with PutMs in flight");
-    std::uint64_t sets = in.u64();
-    std::uint64_t assoc = in.u64();
-    MAPLE_CHECK(sets == num_sets_ && assoc == cfg_.dir_assoc,
-                ckpt::SnapshotError, "directory geometry mismatch (%s)",
-                name_.c_str());
+    MAPLE_ASSERT(busy_.empty() && stale_putms_.empty(),
+                 "snapshot/restore with directory transactions or PutMs live");
+    ar.expect64(num_sets_, "directory set count");
+    ar.expect64(cfg_.dir_assoc, "directory associativity");
     for (auto &set : sets_) {
         for (Entry &e : set) {
-            e.tag = in.u64();
-            e.valid = in.b();
-            e.owner = static_cast<int>(in.u64()) - 1;
-            e.sharers.resize(in.u64());
-            for (unsigned &s : e.sharers)
-                s = in.u32();
-            e.lru = in.u64();
+            ar.u64(e.tag);
+            ar.b(e.valid);
+            auto owner = static_cast<std::uint64_t>(e.owner + 1);
+            ar.u64(owner);
+            if constexpr (Ar::kLoading)
+                e.owner = static_cast<int>(owner) - 1;
+            ar.seq(e.sharers, [&ar](unsigned &s) { ar.u32(s); });
+            ar.u64(e.lru);
         }
     }
-    lru_clock_ = in.u64();
-    live_entries_ = static_cast<unsigned>(in.u64());
-    stats_.loadState(in);
+    ar.u64(lru_clock_);
+    ar.u64(live_entries_);
+    stats_.state(ar);
 }
+
+template void Directory::state(ckpt::Sink &);
+template void Directory::state(ckpt::Source &);
 
 CoherenceFabric::CoherenceFabric(sim::EventQueue &eq, CoherenceConfig cfg,
                                  noc::Mesh &mesh)
@@ -661,27 +640,19 @@ CoherenceFabric::totalInterventions() const
     return n;
 }
 
+template <class Ar>
 void
-CoherenceFabric::saveState(ckpt::Sink &out) const
-{
-    for (std::uint64_t c : msg_counts_)
-        out.u64(c);
-    out.u64(slices_.size());
-    for (const auto &s : slices_)
-        s->saveState(out);
-}
-
-void
-CoherenceFabric::loadState(ckpt::Source &in)
+CoherenceFabric::state(Ar &ar)
 {
     for (std::uint64_t &c : msg_counts_)
-        c = in.u64();
-    std::uint64_t n = in.u64();
-    MAPLE_CHECK(n == slices_.size(), ckpt::SnapshotError,
-                "coherence slice count mismatch in snapshot");
+        ar.u64(c);
+    ar.expect64(slices_.size(), "coherence slice count");
     for (auto &s : slices_)
-        s->loadState(in);
+        s->state(ar);
 }
+
+template void CoherenceFabric::state(ckpt::Sink &);
+template void CoherenceFabric::state(ckpt::Source &);
 
 sim::Task<void>
 CoherentDmaPort::request(MemRequest req)

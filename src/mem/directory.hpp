@@ -164,8 +164,7 @@ class Directory {
     std::size_t busyLines() const { return busy_.size(); }
 
     /** Snapshot support; only valid with no transaction in flight. */
-    void saveState(ckpt::Sink &out) const;
-    void loadState(ckpt::Source &in);
+    template <class Ar> void state(Ar &ar);
 
   private:
     struct Entry {
@@ -342,8 +341,7 @@ class CoherenceFabric {
     std::uint64_t totalInterventions() const;
 
     /** Snapshot support (per-slice directory state + message counters). */
-    void saveState(ckpt::Sink &out) const;
-    void loadState(ckpt::Source &in);
+    template <class Ar> void state(Ar &ar);
 
   private:
     sim::EventQueue &eq_;

@@ -123,36 +123,19 @@ class Dram : public Port {
     void setResil(ResilManager *r) { resil_ = r; }
 
     /** Snapshot support (quiesced: no access in flight holds a channel). */
+    template <class Ar>
     void
-    saveState(ckpt::Sink &out) const
+    state(Ar &ar)
     {
-        out.u64(channel_free_.size());
-        for (sim::Cycle c : channel_free_)
-            out.u64(c);
-        reads_.saveState(out);
-        queue_wait_.saveState(out);
-        stats_.saveState(out);
-        out.b(arb_ != nullptr);
-        if (arb_)
-            arb_->saveState(out);
-    }
-
-    void
-    loadState(ckpt::Source &in)
-    {
-        std::uint64_t channels = in.u64();
-        MAPLE_CHECK(channels == channel_free_.size(), ckpt::SnapshotError,
-                    "DRAM channel-count mismatch in snapshot");
+        ar.expect64(channel_free_.size(), "DRAM channel count");
         for (sim::Cycle &c : channel_free_)
-            c = in.u64();
-        reads_.loadState(in);
-        queue_wait_.loadState(in);
-        stats_.loadState(in);
-        bool had_arb = in.b();
-        MAPLE_CHECK(had_arb == (arb_ != nullptr), ckpt::SnapshotError,
-                    "DRAM arbitration-policy mismatch in snapshot");
+            ar.u64(c);
+        reads_.state(ar);
+        queue_wait_.state(ar);
+        stats_.state(ar);
+        ar.expect8(arb_ != nullptr, "DRAM arbiter presence");
         if (arb_)
-            arb_->loadState(in);
+            arb_->state(ar);
     }
 
   private:

@@ -68,30 +68,18 @@ class Arbiter {
     sim::Cycle waitCycles() const { return wait_cycles_; }
 
     /** Snapshot support; requires no queued waiters (quiesced SoC). */
+    template <class Ar>
     void
-    saveState(ckpt::Sink &out) const
+    state(Ar &ar)
     {
         MAPLE_ASSERT(waiting_count_ == 0 && !pump_running_,
-                     "snapshot with queued arbiter waiters");
-        out.u32(rr_next_);
-        out.u64(next_free_);
-        for (std::uint64_t g : grants_)
-            out.u64(g);
-        out.u64(total_grants_);
-        out.u64(wait_cycles_);
-    }
-
-    void
-    loadState(ckpt::Source &in)
-    {
-        MAPLE_ASSERT(waiting_count_ == 0 && !pump_running_,
-                     "restore with queued arbiter waiters");
-        rr_next_ = in.u32();
-        next_free_ = in.u64();
+                     "snapshot/restore with queued arbiter waiters");
+        ar.u32(rr_next_);
+        ar.u64(next_free_);
         for (std::uint64_t &g : grants_)
-            g = in.u64();
-        total_grants_ = in.u64();
-        wait_cycles_ = in.u64();
+            ar.u64(g);
+        ar.u64(total_grants_);
+        ar.u64(wait_cycles_);
     }
 
   private:
@@ -184,25 +172,14 @@ class PortInterposer : public Port {
      * lat_/bytes_/reqs_ borrowed pointers stay valid); the arbiter, when
      * present, carries its own grant bookkeeping.
      */
+    template <class Ar>
     void
-    saveState(ckpt::Sink &out) const
+    state(Ar &ar)
     {
-        stats_.saveState(out);
-        out.b(arb_ != nullptr);
+        stats_.state(ar);
+        ar.expect8(arb_ != nullptr, "arbiter presence");
         if (arb_)
-            arb_->saveState(out);
-    }
-
-    void
-    loadState(ckpt::Source &in)
-    {
-        stats_.loadState(in);
-        bool had_arb = in.b();
-        MAPLE_CHECK(had_arb == (arb_ != nullptr), ckpt::SnapshotError,
-                    "arbitration-policy mismatch in snapshot (%s)",
-                    name_.c_str());
-        if (arb_)
-            arb_->loadState(in);
+            arb_->state(ar);
     }
 
   private:

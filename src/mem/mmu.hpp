@@ -103,22 +103,14 @@ class Mmu {
      * and is not serialized: restore re-installs it via the same attach path
      * that installed it originally.
      */
+    template <class Ar>
     void
-    saveState(ckpt::Sink &out) const
+    state(Ar &ar)
     {
-        out.u64(root_);
-        tlb_.saveState(out);
-        walks_.saveState(out);
-        faults_.saveState(out);
-    }
-
-    void
-    loadState(ckpt::Source &in)
-    {
-        root_ = in.u64();
-        tlb_.loadState(in);
-        walks_.loadState(in);
-        faults_.loadState(in);
+        ar.u64(root_);
+        tlb_.state(ar);
+        walks_.state(ar);
+        faults_.state(ar);
     }
 
   private:

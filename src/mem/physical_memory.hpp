@@ -128,54 +128,27 @@ class PhysicalMemory {
 
     /**
      * Snapshot support: pages are written sorted by base address so the
-     * byte stream is independent of unordered_map iteration order.
-     * loadState() drops every resident page first — the restored image
-     * replaces anything a freshly-constructed Soc scribbled into memory.
+     * byte stream is independent of unordered_map iteration order. A
+     * restore drops every resident page first — the restored image replaces
+     * anything a freshly-constructed Soc scribbled into memory.
      */
+    template <class Ar>
     void
-    saveState(ckpt::Sink &out) const
+    state(Ar &ar)
     {
-        out.u64(size_);
-        std::vector<sim::Addr> bases;
-        bases.reserve(pages_.size());
-        for (const auto &[base, pg] : pages_)
-            bases.push_back(base);
-        std::sort(bases.begin(), bases.end());
-        out.u64(bases.size());
-        for (sim::Addr base : bases) {
-            out.u64(base);
-            out.bytes(pages_.at(base)->data, kPageSize);
+        ar.u64(size_);
+        if constexpr (Ar::kLoading) {
+            pages_.clear();
+            redirects_.clear();
         }
+        ar.sortedMap(pages_, [&ar](std::unique_ptr<Page> &pg) {
+            if constexpr (Ar::kLoading)
+                pg = std::make_unique<Page>();
+            ar.bytes(pg->data, kPageSize);
+        });
         // Retired-frame redirects are machine state: a restored run must
         // keep forwarding stragglers exactly as the original did.
-        std::vector<sim::Addr> olds;
-        olds.reserve(redirects_.size());
-        for (const auto &[old_page, fresh] : redirects_)
-            olds.push_back(old_page);
-        std::sort(olds.begin(), olds.end());
-        out.u64(olds.size());
-        for (sim::Addr old_page : olds) {
-            out.u64(old_page);
-            out.u64(redirects_.at(old_page));
-        }
-    }
-
-    void
-    loadState(ckpt::Source &in)
-    {
-        size_ = in.u64();
-        pages_.clear();
-        for (std::uint64_t n = in.u64(); n > 0; --n) {
-            sim::Addr base = in.u64();
-            auto pg = std::make_unique<Page>();
-            in.bytes(pg->data, kPageSize);
-            pages_[base] = std::move(pg);
-        }
-        redirects_.clear();
-        for (std::uint64_t n = in.u64(); n > 0; --n) {
-            sim::Addr old_page = in.u64();
-            redirects_[old_page] = in.u64();
-        }
+        ar.sortedMap(redirects_, [&ar](sim::Addr &fresh) { ar.u64(fresh); });
     }
 
   private:

@@ -198,47 +198,27 @@ ResilManager::summary() const
     return os.str();
 }
 
+template <class Ar>
 void
-ResilManager::saveState(ckpt::Sink &out) const
+ResilManager::state(Ar &ar)
 {
-    MAPLE_ASSERT(!scrub_running_, "snapshot with the scrub loop running");
-    out.u64(scrub_cursor_);
-    out.u64(mca_.size());
-    for (const McaBank &b : mca_) {
-        out.b(b.valid);
-        out.u8(b.structure);
-        out.u8(b.cause);
-        out.u64(b.addr);
-        out.u64(b.count);
-        out.u64(b.first_cycle);
+    MAPLE_ASSERT(!scrub_running_, "snapshot/restore with the scrub loop on");
+    ar.u64(scrub_cursor_);
+    ar.expect64(mca_.size(), "resil tile count");
+    for (McaBank &b : mca_) {
+        ar.b(b.valid);
+        ar.u8(b.structure);
+        ar.u8(b.cause);
+        ar.u64(b.addr);
+        ar.u64(b.count);
+        ar.u64(b.first_cycle);
     }
-    out.u64(backing_poison_.size());
-    for (sim::Addr a : backing_poison_)  // std::set iterates sorted
-        out.u64(a);
-    stats_.saveState(out);
+    // std::set iterates sorted.
+    ar.seq(backing_poison_, [&ar](auto &line) { ar.u64(line); });
+    stats_.state(ar);
 }
 
-void
-ResilManager::loadState(ckpt::Source &in)
-{
-    MAPLE_ASSERT(!scrub_running_, "restore with the scrub loop running");
-    scrub_cursor_ = in.u64();
-    const std::uint64_t tiles = in.u64();
-    MAPLE_CHECK(tiles == mca_.size(), ckpt::SnapshotError,
-                "resil section tile count %llu != %zu",
-                (unsigned long long)tiles, mca_.size());
-    for (McaBank &b : mca_) {
-        b.valid = in.b();
-        b.structure = in.u8();
-        b.cause = in.u8();
-        b.addr = in.u64();
-        b.count = in.u64();
-        b.first_cycle = in.u64();
-    }
-    backing_poison_.clear();
-    for (std::uint64_t n = in.u64(); n > 0; --n)
-        backing_poison_.insert(in.u64());
-    stats_.loadState(in);
-}
+template void ResilManager::state(ckpt::Sink &);
+template void ResilManager::state(ckpt::Source &);
 
 }  // namespace maple::mem

@@ -236,8 +236,7 @@ class ResilManager {
      * itself must not be running (quiesced SoC): it restarts from the
      * restored cursor at the next run phase.
      */
-    void saveState(ckpt::Sink &out) const;
-    void loadState(ckpt::Source &in);
+    template <class Ar> void state(Ar &ar);
 
   private:
     sim::Task<void> scrubLoop();

@@ -87,37 +87,24 @@ class Tlb {
     std::uint64_t misses() const { return misses_.value(); }
 
     /** Snapshot support: entries in LRU order (front = most recent). */
+    template <class Ar>
     void
-    saveState(ckpt::Sink &out) const
+    state(Ar &ar)
     {
-        out.u64(capacity_);
-        out.u64(lru_.size());
-        for (const Entry &e : lru_) {
-            out.u64(e.vpn);
-            out.u64(e.pte.raw);
+        ar.u64(capacity_);
+        ar.seq(lru_, [&ar](Entry &e) {
+            ar.u64(e.vpn);
+            ar.u64(e.pte.raw);
+        });
+        if constexpr (Ar::kLoading) {
+            map_.clear();
+            for (auto it = lru_.begin(); it != lru_.end(); ++it)
+                map_[it->vpn] = it;
         }
-        hits_.saveState(out);
-        misses_.saveState(out);
-        evictions_.saveState(out);
-        shootdowns_.saveState(out);
-    }
-
-    void
-    loadState(ckpt::Source &in)
-    {
-        capacity_ = in.u64();
-        lru_.clear();
-        map_.clear();
-        for (std::uint64_t n = in.u64(); n > 0; --n) {
-            sim::Addr vpn = in.u64();
-            Pte pte{in.u64()};
-            lru_.push_back(Entry{vpn, pte});
-            map_[vpn] = std::prev(lru_.end());
-        }
-        hits_.loadState(in);
-        misses_.loadState(in);
-        evictions_.loadState(in);
-        shootdowns_.loadState(in);
+        hits_.state(ar);
+        misses_.state(ar);
+        evictions_.state(ar);
+        shootdowns_.state(ar);
     }
 
   private:

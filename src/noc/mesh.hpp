@@ -146,36 +146,21 @@ class Mesh {
     }
 
     /** Snapshot support: link reservations and traffic counters. */
+    template <class Ar>
     void
-    saveState(ckpt::Sink &out) const
+    state(Ar &ar)
     {
-        out.u64(link_free_.size());
-        for (sim::Cycle c : link_free_)
-            out.u64(c);
-        out.vecU64(link_flits_);
-        for (std::uint64_t f : class_flits_)
-            out.u64(f);
-        packets_.saveState(out);
-        flits_.saveState(out);
-        latency_.saveState(out);
-    }
-
-    void
-    loadState(ckpt::Source &in)
-    {
-        std::uint64_t links = in.u64();
-        MAPLE_CHECK(links == link_free_.size(), ckpt::SnapshotError,
-                    "mesh geometry mismatch in snapshot");
+        ar.expect64(link_free_.size(), "mesh link count");
         for (sim::Cycle &c : link_free_)
-            c = in.u64();
-        link_flits_ = in.vecU64();
-        MAPLE_CHECK(link_flits_.size() == links, ckpt::SnapshotError,
-                    "mesh link-counter mismatch in snapshot");
+            ar.u64(c);
+        ar.expect64(link_flits_.size(), "mesh link-counter count");
+        for (std::uint64_t &f : link_flits_)
+            ar.u64(f);
         for (std::uint64_t &f : class_flits_)
-            f = in.u64();
-        packets_.loadState(in);
-        flits_.loadState(in);
-        latency_.loadState(in);
+            ar.u64(f);
+        packets_.state(ar);
+        flits_.state(ar);
+        latency_.state(ar);
     }
 
   private:

@@ -151,56 +151,34 @@ Process::attachMmu(mem::Mmu *mmu)
     mmu->setRoot(pt_.rootPaddr());
 }
 
+template <class Ar>
 void
-Process::saveState(ckpt::Sink &out) const
+Process::state(Ar &ar)
 {
-    out.str(name_);
-    out.u64(pt_.rootPaddr());
-    out.u64(pt_.tablePages());
-    out.u64(regions_.size());
-    for (const Region &r : regions_) {
-        out.u64(r.base);
-        out.u64(r.size);
-        out.str(r.tag);
-        out.b(r.lazy);
-    }
-    out.u64(mmio_maps_.size());
-    for (const MmioMap &m : mmio_maps_) {
-        out.u64(m.paddr);
-        out.u64(m.vaddr);
-        out.u64(m.bytes);
-    }
-    out.u64(heap_next_);
-    out.u64(mmio_next_);
+    ar.str(name_);
+    sim::Addr root = pt_.rootPaddr();
+    std::uint64_t table_pages = pt_.tablePages();
+    ar.u64(root);
+    ar.u64(table_pages);
+    if constexpr (Ar::kLoading)
+        pt_.adoptState(root, table_pages);
+    ar.seq(regions_, [&ar](Region &r) {
+        ar.u64(r.base);
+        ar.u64(r.size);
+        ar.str(r.tag);
+        ar.b(r.lazy);
+    });
+    ar.seq(mmio_maps_, [&ar](MmioMap &m) {
+        ar.u64(m.paddr);
+        ar.u64(m.vaddr);
+        ar.u64(m.bytes);
+    });
+    ar.u64(heap_next_);
+    ar.u64(mmio_next_);
 }
 
-void
-Process::loadState(ckpt::Source &in)
-{
-    name_ = in.str();
-    sim::Addr root = in.u64();
-    size_t table_pages = in.u64();
-    pt_.adoptState(root, table_pages);
-    regions_.clear();
-    for (std::uint64_t n = in.u64(); n > 0; --n) {
-        Region r;
-        r.base = in.u64();
-        r.size = in.u64();
-        r.tag = in.str();
-        r.lazy = in.b();
-        regions_.push_back(std::move(r));
-    }
-    mmio_maps_.clear();
-    for (std::uint64_t n = in.u64(); n > 0; --n) {
-        MmioMap m;
-        m.paddr = in.u64();
-        m.vaddr = in.u64();
-        m.bytes = in.u64();
-        mmio_maps_.push_back(m);
-    }
-    heap_next_ = in.u64();
-    mmio_next_ = in.u64();
-}
+template void Process::state(ckpt::Sink &);
+template void Process::state(ckpt::Source &);
 
 void
 Process::writeBytes(sim::Addr vaddr, const void *data, size_t len)

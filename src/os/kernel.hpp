@@ -148,8 +148,7 @@ class Process {
      * by the restore path's re-attachment; everything else (page-table root,
      * regions, bump pointers, recorded MMIO windows) round-trips.
      */
-    void saveState(ckpt::Sink &out) const;
-    void loadState(ckpt::Source &in);
+    template <class Ar> void state(Ar &ar);
 
   private:
     struct Region {
@@ -220,32 +219,26 @@ class Kernel {
     std::uint64_t faultsServiced() const { return faults_serviced_.value(); }
 
     /**
-     * Snapshot support. loadState() re-creates every process by name (each
+     * Snapshot support. A restore re-creates every process by name (each
      * re-created page table burns fresh frames and scribbles its root page;
      * both are corrected afterwards — the frame watermark is restored last,
      * and PhysicalMemory is restored after the kernel, wiping the scribbles)
      * then adopts the per-process state.
      */
+    template <class Ar>
     void
-    saveState(ckpt::Sink &out) const
+    state(Ar &ar)
     {
-        out.u64(procs_.size());
-        for (const auto &p : procs_)
-            p->saveState(out);
-        out.u64(frames_.allocated());
-        faults_serviced_.saveState(out);
-    }
-
-    void
-    loadState(ckpt::Source &in)
-    {
-        procs_.clear();
-        for (std::uint64_t n = in.u64(); n > 0; --n) {
-            procs_.push_back(std::make_unique<Process>(*this, ""));
-            procs_.back()->loadState(in);
-        }
-        frames_.setNext(in.u64());
-        faults_serviced_.loadState(in);
+        ar.seq(procs_, [&](std::unique_ptr<Process> &p) {
+            if constexpr (Ar::kLoading)
+                p = std::make_unique<Process>(*this, "");
+            p->state(ar);
+        });
+        sim::Addr next = frames_.allocated();
+        ar.u64(next);
+        if constexpr (Ar::kLoading)
+            frames_.setNext(next);
+        faults_serviced_.state(ar);
     }
 
     /** Processes in creation order (restore-time re-attachment). */

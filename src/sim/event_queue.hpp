@@ -222,6 +222,16 @@ class EventQueue {
         std::uint64_t seq = 0;
         std::uint64_t executed = 0;
         std::uint64_t next_ticket = 1;
+
+        template <class Ar>
+        void
+        state(Ar &ar)
+        {
+            ar.u64(now);
+            ar.u64(seq);
+            ar.u64(executed);
+            ar.u64(next_ticket);
+        }
     };
 
     EngineState

@@ -75,6 +75,15 @@ class Rng {
             s_[i] = st[static_cast<std::size_t>(i)];
     }
 
+    /** Snapshot walk (ckpt::Sink or ckpt::Source): the four state words. */
+    template <class Ar>
+    void
+    state(Ar &ar)
+    {
+        for (std::uint64_t &w : s_)
+            ar.u64(w);
+    }
+
   private:
     static std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 

@@ -24,8 +24,7 @@ class Counter {
     std::uint64_t value() const { return value_; }
     void reset() { value_ = 0; }
 
-    void saveState(ckpt::Sink &out) const { out.u64(value_); }
-    void loadState(ckpt::Source &in) { value_ = in.u64(); }
+    template <class Ar> void state(Ar &ar) { ar.u64(value_); }
 
   private:
     std::uint64_t value_ = 0;
@@ -57,22 +56,14 @@ class Average {
         max_ = -std::numeric_limits<double>::infinity();
     }
 
+    template <class Ar>
     void
-    saveState(ckpt::Sink &out) const
+    state(Ar &ar)
     {
-        out.f64(sum_);
-        out.u64(count_);
-        out.f64(min_);
-        out.f64(max_);
-    }
-
-    void
-    loadState(ckpt::Source &in)
-    {
-        sum_ = in.f64();
-        count_ = in.u64();
-        min_ = in.f64();
-        max_ = in.f64();
+        ar.f64(sum_);
+        ar.u64(count_);
+        ar.f64(min_);
+        ar.f64(max_);
     }
 
   private:
@@ -140,22 +131,14 @@ class Histogram {
         max_ = 0.0;
     }
 
+    template <class Ar>
     void
-    saveState(ckpt::Sink &out) const
+    state(Ar &ar)
     {
-        out.f64(width_);
-        out.vecU64(counts_);
-        out.u64(total_);
-        out.f64(max_);
-    }
-
-    void
-    loadState(ckpt::Source &in)
-    {
-        width_ = in.f64();
-        counts_ = in.vecU64();
-        total_ = in.u64();
-        max_ = in.f64();
+        ar.f64(width_);
+        ar.vecU64(counts_);
+        ar.u64(total_);
+        ar.f64(max_);
     }
 
   private:
@@ -212,46 +195,19 @@ class StatGroup {
     std::string dump() const;
 
     /**
-     * Snapshot support. loadState() must never erase map entries: hardware
-     * models hold borrowed pointers into this group's maps (e.g. Dram's
-     * per-class latency histograms, every bound CounterHandle), so entries
-     * are found-or-created and overwritten in place.
+     * Snapshot support. A restore never erases map entries: hardware models
+     * hold borrowed pointers into this group's maps (e.g. Dram's per-class
+     * latency histograms, every bound CounterHandle), so entries are
+     * found-or-created and overwritten in place (ckpt::Source::sortedMap).
      */
+    template <class Ar>
     void
-    saveState(ckpt::Sink &out) const
+    state(Ar &ar)
     {
-        out.u64(counters_.size());
-        for (const auto &[k, c] : counters_) {
-            out.str(k);
-            c.saveState(out);
-        }
-        out.u64(averages_.size());
-        for (const auto &[k, a] : averages_) {
-            out.str(k);
-            a.saveState(out);
-        }
-        out.u64(histograms_.size());
-        for (const auto &[k, h] : histograms_) {
-            out.str(k);
-            h.saveState(out);
-        }
-    }
-
-    void
-    loadState(ckpt::Source &in)
-    {
-        for (std::uint64_t n = in.u64(); n > 0; --n) {
-            std::string k = in.str();
-            counters_[k].loadState(in);
-        }
-        for (std::uint64_t n = in.u64(); n > 0; --n) {
-            std::string k = in.str();
-            averages_[k].loadState(in);
-        }
-        for (std::uint64_t n = in.u64(); n > 0; --n) {
-            std::string k = in.str();
-            histograms_.try_emplace(k).first->second.loadState(in);
-        }
+        auto walk = [&ar](auto &stat) { stat.state(ar); };
+        ar.sortedMap(counters_, walk);
+        ar.sortedMap(averages_, walk);
+        ar.sortedMap(histograms_, walk);
     }
 
   private:
@@ -266,7 +222,7 @@ class StatGroup {
  * increment. The entry is created on the first inc(), exactly when
  * `group.counter(name).inc()` would create it, so dumps, stats JSON and
  * snapshot images do not change. StatGroup never erases an entry, so the
- * bound counter stays valid for the group's lifetime, across loadState().
+ * bound counter stays valid for the group's lifetime, across a restore.
  * Not copyable: the handle belongs to the component owning the group.
  */
 class CounterHandle {

@@ -363,158 +363,91 @@ TraceManager::write()
         std::fputs(stallReport().c_str(), stderr);
 }
 
+template <class Ar>
 void
-TraceManager::saveState(ckpt::Sink &out) const
+TraceManager::state(Ar &ar)
 {
     // String table for the const char* literals carried by events and open
     // spans: first-seen *content* gets an id, written once. Keying by content
     // (not pointer) keeps snapshots canonical after a restore, where old
     // events carry interned copies and new events carry the literals.
+    std::vector<std::string> table;
     std::unordered_map<std::string_view, std::uint32_t> ids;
-    std::vector<std::string_view> table;
-    auto intern = [&](const char *s) -> std::uint32_t {
-        auto [it, inserted] = ids.try_emplace(
-            std::string_view(s), static_cast<std::uint32_t>(table.size()));
-        if (inserted)
-            table.push_back(it->first);
-        return it->second;
-    };
-
-    // Pass 1: build the table in a deterministic order.
-    for (const Track &t : tracks_) {
-        for (const OpenSpan &s : t.stack)
-            intern(s.name);
+    if constexpr (!Ar::kLoading) {
+        auto intern = [&](const char *s) {
+            const auto id = static_cast<std::uint32_t>(table.size());
+            if (ids.try_emplace(s, id).second)
+                table.emplace_back(s);
+        };
+        for (const Track &t : tracks_) {
+            for (const OpenSpan &s : t.stack)
+                intern(s.name);
+        }
+        for (const Event &ev : events_)
+            intern(ev.name);
     }
-    for (const Event &ev : events_)
-        intern(ev.name);
-
-    out.u64(table.size());
-    for (std::string_view s : table)
-        out.str(std::string(s));
-
-    out.b(enabled_);
-    out.u64(dropped_);
-    for (std::uint64_t c : stall_cycles_)
-        out.u64(c);
-
-    out.u64(tracks_.size());
-    for (const Track &t : tracks_) {
-        out.str(t.name);
-        out.b(t.lane_busy);
-        out.u64(t.stack.size());
-        for (const OpenSpan &s : t.stack) {
-            out.u32(intern(s.name));
-            out.u8(static_cast<std::uint8_t>(s.cat));
-            out.u64(s.start);
+    ar.seq(table, [&ar](std::string &s) { ar.str(s); });
+    std::vector<const char *> interned;
+    if constexpr (Ar::kLoading) {
+        for (std::string &s : table) {
+            interned_names_.push_back(std::move(s));
+            interned.push_back(interned_names_.back().c_str());
         }
     }
-
-    out.u64(groups_.size());
-    for (const LaneGroup &g : groups_) {
-        out.str(g.base);
-        out.u64(g.lanes.size());
-        for (TrackId lane : g.lanes)
-            out.u32(lane);
-    }
-
-    out.u64(events_.size());
-    for (const Event &ev : events_) {
-        out.u32(ev.tid);
-        out.u32(intern(ev.name));
-        out.u8(static_cast<std::uint8_t>(ev.cat));
-        out.b(ev.is_instant);
-        out.u64(ev.ts);
-        out.u64(ev.dur);
-    }
-
-    out.u64(probes_.size());
-    for (const Probe &p : probes_) {
-        out.str(p.name);
-        out.u64(p.values.size());
-        for (double v : p.values)
-            out.f64(v);
-    }
-    out.u64(sample_times_.size());
-    for (sim::Cycle t : sample_times_)
-        out.u64(t);
-    out.u64(next_sample_);
-}
-
-void
-TraceManager::loadState(ckpt::Source &in)
-{
-    std::vector<const char *> table;
-    for (std::uint64_t n = in.u64(); n > 0; --n) {
-        interned_names_.push_back(in.str());
-        table.push_back(interned_names_.back().c_str());
-    }
-    auto name_at = [&](std::uint32_t id) -> const char * {
-        MAPLE_CHECK(id < table.size(), ckpt::SnapshotError,
-                    "trace string-table id out of range");
-        return table[id];
+    auto name = [&](const char *&s) {
+        std::uint32_t id = Ar::kLoading ? 0 : ids.at(s);
+        ar.u32(id);
+        if constexpr (Ar::kLoading) {
+            MAPLE_CHECK(id < interned.size(), ckpt::SnapshotError,
+                        "trace string-table id out of range");
+            s = interned[id];
+        }
     };
 
-    enabled_ = in.b();
-    dropped_ = in.u64();
+    ar.b(enabled_);
+    ar.u64(dropped_);
     for (std::uint64_t &c : stall_cycles_)
-        c = in.u64();
+        ar.u64(c);
 
-    tracks_.clear();
-    for (std::uint64_t n = in.u64(); n > 0; --n) {
-        Track t;
-        t.name = in.str();
-        t.lane_busy = in.b();
-        for (std::uint64_t m = in.u64(); m > 0; --m) {
-            OpenSpan s;
-            s.name = name_at(in.u32());
-            s.cat = static_cast<Category>(in.u8());
-            s.start = in.u64();
-            t.stack.push_back(s);
-        }
-        tracks_.push_back(std::move(t));
-    }
-
-    groups_.clear();
-    for (std::uint64_t n = in.u64(); n > 0; --n) {
-        LaneGroup g;
-        g.base = in.str();
-        for (std::uint64_t m = in.u64(); m > 0; --m)
-            g.lanes.push_back(in.u32());
-        groups_.push_back(std::move(g));
-    }
-
-    events_.clear();
-    for (std::uint64_t n = in.u64(); n > 0; --n) {
-        Event ev;
-        ev.tid = in.u32();
-        ev.name = name_at(in.u32());
-        ev.cat = static_cast<Category>(in.u8());
-        ev.is_instant = in.b();
-        ev.ts = in.u64();
-        ev.dur = in.u64();
-        events_.push_back(ev);
-    }
+    ar.seq(tracks_, [&](Track &t) {
+        ar.str(t.name);
+        ar.b(t.lane_busy);
+        ar.seq(t.stack, [&](OpenSpan &s) {
+            name(s.name);
+            ar.u8(s.cat);
+            ar.u64(s.start);
+        });
+    });
+    ar.seq(groups_, [&ar](LaneGroup &g) {
+        ar.str(g.base);
+        ar.seq(g.lanes, [&ar](TrackId &lane) { ar.u32(lane); });
+    });
+    ar.seq(events_, [&](Event &ev) {
+        ar.u32(ev.tid);
+        name(ev.name);
+        ar.u8(ev.cat);
+        ar.b(ev.is_instant);
+        ar.u64(ev.ts);
+        ar.u64(ev.dur);
+    });
 
     // Probe functions are host-side: the restoring Soc must have registered
     // the same probes in the same order (Soc's registration is
-    // deterministic); only the sampled values are restored.
-    std::uint64_t probes = in.u64();
-    MAPLE_CHECK(probes == probes_.size(), ckpt::SnapshotError,
-                "trace probe-count mismatch (snapshot %llu, live %zu)",
-                (unsigned long long)probes, probes_.size());
+    // deterministic); only the sampled values round-trip.
+    ar.expect64(probes_.size(), "trace probe count");
     for (Probe &p : probes_) {
-        std::string name = in.str();
-        MAPLE_CHECK(name == p.name, ckpt::SnapshotError,
+        std::string probe = p.name;
+        ar.str(probe);
+        MAPLE_CHECK(probe == p.name, ckpt::SnapshotError,
                     "trace probe mismatch: snapshot '%s', live '%s'",
-                    name.c_str(), p.name.c_str());
-        p.values.clear();
-        for (std::uint64_t m = in.u64(); m > 0; --m)
-            p.values.push_back(in.f64());
+                    probe.c_str(), p.name.c_str());
+        ar.seq(p.values, [&ar](double &v) { ar.f64(v); });
     }
-    sample_times_.clear();
-    for (std::uint64_t n = in.u64(); n > 0; --n)
-        sample_times_.push_back(in.u64());
-    next_sample_ = in.u64();
+    ar.vecU64(sample_times_);
+    ar.u64(next_sample_);
 }
+
+template void TraceManager::state(ckpt::Sink &);
+template void TraceManager::state(ckpt::Source &);
 
 }  // namespace maple::trace

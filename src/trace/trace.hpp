@@ -191,8 +191,7 @@ class TraceManager {
      * already be registered (in the same order) by the restoring Soc; only
      * their sampled values round-trip.
      */
-    void saveState(ckpt::Sink &out) const;
-    void loadState(ckpt::Source &in);
+    template <class Ar> void state(Ar &ar);
 
   private:
     struct Event {
@@ -245,7 +244,7 @@ class TraceManager {
     std::vector<sim::Cycle> sample_times_;
     sim::Cycle next_sample_;
 
-    /** Names interned by loadState() (stable addresses, owned). */
+    /** Names interned by a restore (stable addresses, owned). */
     std::deque<std::string> interned_names_;
 
     std::array<std::uint64_t, static_cast<std::size_t>(StallCause::kCount)>

@@ -94,16 +94,16 @@ TEST(CkptStats, StatGroupRoundTripKeepsBorrowedPointers)
 
     std::stringstream ss;
     ckpt::Sink out(ss);
-    g.saveState(out);
+    g.state(out);
 
-    // Mutate after the save; loadState must restore the saved values through
+    // Mutate after the save; restoring must put the saved values back through
     // the *same* objects (components hold borrowed pointers into the group).
     hits.inc(100);
     lat.sample(1e9);
     dist.sample(1e9);
 
     ckpt::Source in(ss);
-    g.loadState(in);
+    g.state(in);
     EXPECT_EQ(hits.value(), 3u);
     EXPECT_EQ(lat.count(), 2u);
     EXPECT_EQ(lat.mean(), 5.0);
@@ -632,6 +632,120 @@ TEST(Ckpt, SnapshotImagesArePinned)
         again.snapshot(out);
         EXPECT_TRUE(out.str() == image)
             << "restore -> snapshot must reproduce the image";
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Section-level probes: corrupt one field, or compare one section.
+// ---------------------------------------------------------------------------
+
+/** Payload offset and length of one section of an image. */
+struct SectionSpan {
+    std::size_t offset = 0;
+    std::size_t len = 0;
+};
+
+SectionSpan
+findSection(const std::string &image, ckpt::Section tag)
+{
+    std::istringstream is(image);
+    ckpt::Source in(is);
+    (void)in.u64();  // magic
+    (void)in.u32();  // format version
+    (void)in.u64();  // config hash
+    (void)in.u64();  // cycle
+    while (!in.atEof()) {
+        const std::uint32_t t = in.u32();
+        const std::uint64_t len = in.u64();
+        const SectionSpan span{static_cast<std::size_t>(in.pos()),
+                               static_cast<std::size_t>(len)};
+        if (t == static_cast<std::uint32_t>(tag))
+            return span;
+        in.skip(len);
+    }
+    ADD_FAILURE() << "image has no section " << static_cast<std::uint32_t>(tag);
+    return {};
+}
+
+std::string
+sectionBytes(const std::string &image, ckpt::Section tag)
+{
+    const SectionSpan s = findSection(image, tag);
+    return image.substr(s.offset, s.len);
+}
+
+std::string
+snapshotOf(soc::Soc &soc)
+{
+    std::stringstream ss;
+    soc.snapshot(ss);
+    return ss.str();
+}
+
+TEST(Ckpt, CorruptLengthPrefixIsATypedError)
+{
+    soc::Soc src(soc::SocConfig::fpga());
+    std::string image = snapshotOf(src);
+
+    // MAPLE 0's payload: u32 device index, u32 queue count, then queue 0's
+    // configured and open flags (a byte each), its capacity and entry width
+    // (u32 each), and the u64 length prefix of its data slots.
+    const SectionSpan maple = findSection(image, ckpt::Section::Maple);
+    const std::size_t at = maple.offset + 18;
+    ASSERT_LE(at + 8, maple.offset + maple.len);
+    auto le = [&image](std::size_t off, int bytes) {
+        std::uint64_t v = 0;
+        for (int i = 0; i < bytes; ++i)
+            v |= std::uint64_t(std::uint8_t(image[off + i])) << (8 * i);
+        return v;
+    };
+    ASSERT_EQ(le(at, 8), le(maple.offset + 10, 4))
+        << "queue 0 holds one data slot per entry of its capacity";
+
+    // 2^39 slots is 4 TiB: a restore must reject the length as corrupt
+    // instead of allocating for it.
+    const std::uint64_t corrupt = 1ull << 39;
+    for (int i = 0; i < 8; ++i)
+        image[at + i] = static_cast<char>(corrupt >> (8 * i));
+    std::istringstream is(image);
+    soc::Soc dst(soc::SocConfig::fpga());
+    EXPECT_THROW(dst.restore(is), ckpt::SnapshotError);
+}
+
+soc::SocConfig
+dramFaultConfig(std::uint64_t seed)
+{
+    soc::SocConfig cfg = soc::SocConfig::fpga();
+    cfg.fault.seed = seed;
+    cfg.fault.dram = {0.05, 40};
+    return cfg;
+}
+
+TEST(Ckpt, RestoreIntoAnotherFaultPlanKeepsItsOwnStreams)
+{
+    const std::string image = scenarioImage(dramFaultConfig(21), 128);
+    const std::string fault = sectionBytes(image, ckpt::Section::Fault);
+    {
+        soc::Soc fresh(dramFaultConfig(21));
+        ASSERT_NE(sectionBytes(snapshotOf(fresh), ckpt::Section::Fault), fault)
+            << "the run must have drawn from the seed-21 streams";
+    }
+    {
+        // Another plan: the restored injector keeps its own streams,
+        // totals and log, which are still those of a fresh seed-22 SoC.
+        soc::Soc fresh(dramFaultConfig(22));
+        soc::Soc soc(dramFaultConfig(22));
+        std::istringstream is(image);
+        soc.restore(is);
+        EXPECT_EQ(sectionBytes(snapshotOf(soc), ckpt::Section::Fault),
+                  sectionBytes(snapshotOf(fresh), ckpt::Section::Fault));
+    }
+    {
+        // The same plan: the section comes back as the image carries it.
+        soc::Soc soc(dramFaultConfig(21));
+        std::istringstream is(image);
+        soc.restore(is);
+        EXPECT_EQ(sectionBytes(snapshotOf(soc), ckpt::Section::Fault), fault);
     }
 }
 

@@ -792,10 +792,10 @@ TEST(Stats, HandlesBindOnFirstUseAndSurviveLoadState)
     other.counter("misses").inc(7);
     std::stringstream img;
     maple::ckpt::Sink out(img);
-    other.saveState(out);
+    other.state(out);
 
     maple::ckpt::Source in(img);
-    g.loadState(in);
+    g.state(in);
     hits.inc();    // bound before the restore: same entry, new value
     misses.inc();  // unbound: binds to the entry the restore created
     lat.sample(1.0);

@@ -122,14 +122,7 @@ main()
         sim::Addr keys, hist;
         build(soc, proc, keys, hist);
         core::MapleApi api = core::MapleApi::attach(proc, soc.maple());
-        auto setup = [&](cpu::Core &c) -> sim::Task<void> {
-            co_await api.init(c, 2, 32, 4);
-            for (unsigned q = 0; q < 2; ++q) {
-                bool ok = co_await api.open(c, q);
-                MAPLE_ASSERT(ok, "open failed");
-            }
-        };
-        soc.run({sim::spawn(setup(soc.core(0)))});
+        soc.run({sim::spawn(api.initAndOpen(soc.core(0), 2, 32, 4))});
         sim::Cycle cy = soc.run(
             {sim::spawn(mapleAmoWorker(soc.core(0), api, 0, keys,
                                        app::chunkOf(kSamples, 0, 2), hist)),

@@ -117,13 +117,8 @@ runScale(unsigned tiles)
     for (unsigned i = 0; i < maples; ++i)
         apis.push_back(core::MapleApi::attach(proc, soc.maple(i)));
     auto setup = [&](cpu::Core &c) -> sim::Task<void> {
-        for (unsigned i = 0; i < maples; ++i) {
-            co_await apis[i].init(c, pairs_per_maple, 32, 4);
-            for (unsigned q = 0; q < pairs_per_maple; ++q) {
-                bool ok = co_await apis[i].open(c, q);
-                MAPLE_ASSERT(ok, "queue open failed");
-            }
-        }
+        for (unsigned i = 0; i < maples; ++i)
+            co_await apis[i].initAndOpen(c, pairs_per_maple, 32, 4);
     };
     soc.run({sim::spawn(setup(soc.core(0)))});
 

@@ -44,9 +44,7 @@ main()
     constexpr int kN = 24;
     sim::Cycle total = 0;
     auto bench = [&](cpu::Core &core) -> sim::Task<void> {
-        co_await api.init(core, 1, 32, 8);
-        bool ok = co_await api.open(core, 0);
-        MAPLE_ASSERT(ok);
+        co_await api.initAndOpen(core, 1, 32, 8);
         for (int i = 0; i < kN; ++i)
             co_await api.produce(core, 0, i);
         co_await core.storeFence();

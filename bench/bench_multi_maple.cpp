@@ -142,13 +142,8 @@ main()
         const unsigned pairs = 4;
         const unsigned pairs_per_maple = pairs / maples;
         auto setup = [&](cpu::Core &c) -> sim::Task<void> {
-            for (unsigned i = 0; i < maples; ++i) {
-                co_await apis[i].init(c, pairs_per_maple, 32, 4);
-                for (unsigned q = 0; q < pairs_per_maple; ++q) {
-                    bool ok = co_await apis[i].open(c, q);
-                    MAPLE_ASSERT(ok, "open failed");
-                }
-            }
+            for (unsigned i = 0; i < maples; ++i)
+                co_await apis[i].initAndOpen(c, pairs_per_maple, 32, 4);
         };
         soc.run({sim::spawn(setup(soc.core(0)))});
 

@@ -91,12 +91,7 @@ main()
         SliceResult r = sliceProgram(k.prog);
         MAPLE_ASSERT(r.decoupled, "slicer refused the gather kernel");
         core::MapleApi api = core::MapleApi::attach(proc, soc.maple());
-        auto setup = [&](cpu::Core &c) -> sim::Task<void> {
-            co_await api.init(c, 1, 32, 4);
-            bool ok = co_await api.open(c, 0);
-            MAPLE_ASSERT(ok, "open failed");
-        };
-        soc.run({sim::spawn(setup(soc.core(0)))});
+        soc.run({sim::spawn(api.initAndOpen(soc.core(0), 1, 32, 4))});
         ExecEnv ae{&soc.core(0), &api, 0};
         ExecEnv ee{&soc.core(1), &api, 0};
         sim::Cycle cy = soc.run({sim::spawn(interpret(r.access, ae)),

@@ -72,14 +72,7 @@ main()
         SliceResult r = sliceProgram(k.prog);
 
         core::MapleApi api = core::MapleApi::attach(proc, soc.maple());
-        auto setup = [&](cpu::Core &c) -> sim::Task<void> {
-            co_await api.init(c, r.queues_used, 32, 4);
-            for (unsigned q = 0; q < r.queues_used; ++q) {
-                bool ok = co_await api.open(c, q);
-                MAPLE_ASSERT(ok, "open failed");
-            }
-        };
-        soc.run({sim::spawn(setup(soc.core(0)))});
+        soc.run({sim::spawn(api.initAndOpen(soc.core(0), r.queues_used, 32, 4))});
 
         ExecEnv access_env{&soc.core(0), &api, 0};
         ExecEnv exec_env{&soc.core(1), &api, 0};

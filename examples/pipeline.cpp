@@ -86,14 +86,7 @@ main()
     }
 
     core::MapleApi api = core::MapleApi::attach(proc, soc.maple());
-    auto setup = [&](cpu::Core &c) -> sim::Task<void> {
-        co_await api.init(c, 2, 32, 4);
-        for (unsigned q = 0; q < 2; ++q) {
-            bool ok = co_await api.open(c, q);
-            MAPLE_ASSERT(ok, "open failed");
-        }
-    };
-    soc.run({sim::spawn(setup(soc.core(0)))});
+    soc.run({sim::spawn(api.initAndOpen(soc.core(0), 2, 32, 4))});
 
     sim::Cycle cycles = soc.run({sim::spawn(stage0(soc.core(0), api, ids)),
                                  sim::spawn(stage1(soc.core(1), api, table)),

@@ -57,6 +57,8 @@ class DescQueue {
         store_q_.configure(params_.queue_entries * 4, 8);
     }
 
+    sim::EventQueue &eq() const { return eq_; }
+
     /// @name Supply (Access) side
     /// @{
 

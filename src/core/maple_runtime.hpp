@@ -90,6 +90,18 @@ class MapleApi {
         co_return got != 0;
     }
 
+    /** INIT, then OPEN queues [0, @p queues); asserts every OPEN succeeds. */
+    sim::Task<void>
+    initAndOpen(cpu::Core &core, unsigned queues, unsigned entries,
+                unsigned entry_bytes)
+    {
+        co_await init(core, queues, entries, entry_bytes);
+        for (unsigned q = 0; q < queues; ++q) {
+            bool ok = co_await open(core, q);
+            MAPLE_ASSERT(ok, "failed to open MAPLE queue %u", q);
+        }
+    }
+
     /** CLOSE: release queue @p q, discarding in-flight entries. */
     sim::Task<void>
     close(cpu::Core &core, unsigned q)

@@ -356,12 +356,7 @@ measureScenario(soc::Soc &soc, const ScenarioSpec &s)
         soc.run(spawnScenarioDoall(soc, s));
     } else {
         core::MapleApi api = core::MapleApi::attach(proc, soc.maple());
-        auto setup = [&](cpu::Core &c) -> sim::Task<void> {
-            co_await api.init(c, 1, s.queue_entries, 4);
-            bool ok = co_await api.open(c, 0);
-            MAPLE_ASSERT(ok, "campaign queue open failed");
-        };
-        soc.run({sim::spawn(setup(soc.core(0)))});
+        soc.run({sim::spawn(api.initAndOpen(soc.core(0), 1, s.queue_entries, 4))});
         soc.run({sim::spawn(accessWorker(soc.core(0), api, a, s.rows)),
                  sim::spawn(executeWorker(soc.core(1), api, a, s.rows))});
     }

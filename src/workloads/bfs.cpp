@@ -13,7 +13,6 @@
 #include <optional>
 
 #include "baselines/desc.hpp"
-#include "baselines/droplet.hpp"
 #include "baselines/sw_queue.hpp"
 #include "sim/sync.hpp"
 #include "workloads/workload.hpp"
@@ -482,145 +481,67 @@ class Bfs final : public Workload {
 RunResult
 Bfs::run(const RunConfig &cfg)
 {
-    RunResult res;
-    res.workload = name();
-    res.technique = techniqueName(cfg.tech);
-
-    unsigned threads = cfg.tech == Technique::NoPrefetch ||
-                               cfg.tech == Technique::SwPrefetch ||
-                               cfg.tech == Technique::LimaPrefetch
-                           ? 1
-                           : cfg.threads;
-
-    soc::SocConfig scfg = cfg.soc;
-    scfg.num_cores = std::max(scfg.num_cores, threads);
-    soc::Soc soc(scfg);
-    os::Process &proc = soc.createProcess("bfs");
-
-    // The frontier can exceed |V| because of benign duplicate appends.
-    const size_t frontier_cap = size_t(g_.rows) + g_.nnz();
     BfsSim s;
-    s.g = SimCsr::upload(proc, g_, /*with_vals=*/false);
-    s.dist = SimArray<std::uint32_t>(proc, g_.rows, "dist");
-    s.frontier_a = SimArray<std::uint32_t>(proc, frontier_cap, "frontier_a");
-    s.frontier_b = SimArray<std::uint32_t>(proc, frontier_cap, "frontier_b");
-    s.next_tail = proc.alloc(64, "next_tail");
-    s.vertices = g_.rows;
-    s.root = root_;
-
-    std::vector<std::uint32_t> dist_init(g_.rows, kInf);
-    dist_init[root_] = 0;
-    s.dist.upload(dist_init);
-    s.frontier_a.write(0, root_);
-
-    LevelState ls;
-    ls.count = 1;
-    ls.cur_is_a = true;
-    ls.level = 0;
-
-    std::optional<core::MapleApi> api;
-    std::optional<baselines::DropletPrefetcher> droplet;
-    std::vector<std::unique_ptr<baselines::SwQueue>> swqs;
-    std::vector<std::unique_ptr<baselines::DescQueue>> descs;
-    std::unique_ptr<std::uint32_t[]> exec_levels;
+    LevelState ls{.count = 1};  // the root
+    std::optional<sim::Barrier> bar;
+    std::unique_ptr<std::uint32_t[]> exec_levels;  // per DeSC pair
     std::unique_ptr<std::uint64_t[]> edges_done;
+    WorkloadParts k;
+    k.upload = [&](os::Process &proc, unsigned threads, unsigned pairs) {
+        // The frontier can exceed |V| because of benign duplicate appends.
+        const size_t frontier_cap = size_t(g_.rows) + g_.nnz();
+        s.g = SimCsr::upload(proc, g_, /*with_vals=*/false);
+        s.dist = SimArray<std::uint32_t>(proc, g_.rows, "dist");
+        s.frontier_a = SimArray<std::uint32_t>(proc, frontier_cap, "frontier_a");
+        s.frontier_b = SimArray<std::uint32_t>(proc, frontier_cap, "frontier_b");
+        s.next_tail = proc.alloc(64, "next_tail");
+        s.vertices = g_.rows;
+        s.root = root_;
 
-    const bool decoupled = cfg.tech == Technique::MapleDecouple ||
-                           cfg.tech == Technique::SwDecouple ||
-                           cfg.tech == Technique::Desc;
-    unsigned pairs = decoupled ? std::max(1u, threads / 2) : 0;
-    unsigned total_workers = decoupled ? pairs * 2 : threads;
-    sim::Barrier bar(total_workers);
+        std::vector<std::uint32_t> dist_init(g_.rows, kInf);
+        dist_init[root_] = 0;
+        s.dist.upload(dist_init);
+        s.frontier_a.write(0, root_);
 
-    if (cfg.tech == Technique::MapleDecouple || cfg.tech == Technique::LimaPrefetch) {
-        api.emplace(core::MapleApi::attach(proc, soc.maple()));
-        unsigned queues = cfg.tech == Technique::LimaPrefetch ? 1 : pairs;
-        auto setup = [](core::MapleApi &a, cpu::Core &c, unsigned nq,
-                        unsigned entries) -> sim::Task<void> {
-            co_await a.init(c, nq, entries, 4);
-            for (unsigned q = 0; q < nq; ++q) {
-                bool ok = co_await a.open(c, q);
-                MAPLE_ASSERT(ok, "failed to open MAPLE queue %u", q);
-            }
-        };
-        soc.run({sim::spawn(setup(*api, soc.core(0), queues, cfg.queue_entries))},
-                cfg.max_cycles);
-    } else if (cfg.tech == Technique::SwDecouple) {
-        for (unsigned p = 0; p < pairs; ++p)
-            swqs.push_back(std::make_unique<baselines::SwQueue>(proc, 1024));
-    } else if (cfg.tech == Technique::Desc) {
+        // Every spawned worker meets at the level barrier.
+        bar.emplace(pairs ? 2 * pairs : threads);
         exec_levels = std::make_unique<std::uint32_t[]>(pairs);
         edges_done = std::make_unique<std::uint64_t[]>(pairs);
-        for (unsigned p = 0; p < pairs; ++p)
-            descs.push_back(std::make_unique<baselines::DescQueue>(
-                soc.eq(), soc.physMem(), soc.addLlcPort(soc.coreTile(2 * p))));
-    } else if (cfg.tech == Technique::Droplet) {
-        droplet.emplace(soc);
-        droplet->bind(proc, s.g.col_idx.addr(0), s.g.col_idx.size(), 4,
-                      s.dist.addr(0), 4);
-    }
-
-    std::vector<sim::Join> joins;
-    switch (cfg.tech) {
-      case Technique::Doall:
-      case Technique::NoPrefetch:
-      case Technique::Droplet:
-        for (unsigned t = 0; t < threads; ++t)
-            joins.push_back(sim::spawn(bfsWorker(soc.core(t), s, ls, bar, t,
-                                                 threads, LoadFetch{s},
-                                                 NoPrologue{})));
-        break;
-      case Technique::SwPrefetch:
-        joins.push_back(sim::spawn(bfsWorker(soc.core(0), s, ls, bar, 0, 1,
-                                             LoadFetch{s}, NoPrologue{},
-                                             cfg.prefetch_distance)));
-        break;
-      case Technique::LimaPrefetch:
-        joins.push_back(sim::spawn(
-            limaWorker(soc.core(0), s, ls, bar, *api, 0, 4)));
-        break;
-      case Technique::MapleDecouple:
-        for (unsigned p = 0; p < pairs; ++p) {
-            joins.push_back(sim::spawn(mapleAccess(soc.core(2 * p), s, ls, bar,
-                                                   *api, p, p, pairs)));
-            joins.push_back(sim::spawn(mapleExecute(soc.core(2 * p + 1), s, ls,
-                                                    bar, *api, p, p, pairs,
-                                                    p == 0)));
-        }
-        break;
-      case Technique::SwDecouple:
-        for (unsigned p = 0; p < pairs; ++p) {
-            joins.push_back(sim::spawn(
-                swqAccess(soc.core(2 * p), s, ls, bar, *swqs[p], p, pairs)));
-            joins.push_back(sim::spawn(swqExecute(soc.core(2 * p + 1), s, ls,
-                                                  bar, *swqs[p], p, pairs,
-                                                  p == 0)));
-        }
-        break;
-      case Technique::Desc:
-        for (unsigned p = 0; p < pairs; ++p) {
-            joins.push_back(sim::spawn(
-                descSupply(soc.eq(), soc.core(2 * p), s, ls, bar, *descs[p], p,
-                           pairs, &exec_levels[p], &edges_done[p], p == 0)));
-            joins.push_back(sim::spawn(descCompute(soc.core(2 * p + 1), s, ls,
-                                                   bar, *descs[p],
-                                                   &exec_levels[p],
-                                                   &edges_done[p])));
-        }
-        break;
-    }
-
-    res.cycles = soc.run(std::move(joins), cfg.max_cycles);
-
-    std::vector<std::uint32_t> dist = s.dist.download();
-    res.valid = true;
-    for (std::uint32_t v = 0; v < g_.rows; ++v) {
-        res.checksum += dist[v];
-        if (dist[v] != golden_[v])
-            res.valid = false;
-    }
-    collectCoreStats(soc, res);
-    return res;
+    };
+    k.doall = [&](cpu::Core &c, unsigned t, unsigned n) {
+        return bfsWorker(c, s, ls, *bar, t, n, LoadFetch{s}, NoPrologue{});
+    };
+    k.sw_prefetch = [&](cpu::Core &c) {
+        return bfsWorker(c, s, ls, *bar, 0, 1, LoadFetch{s}, NoPrologue{},
+                         cfg.prefetch_distance);
+    };
+    k.lima = [&](cpu::Core &c, core::MapleApi &api) {
+        return limaWorker(c, s, ls, *bar, api, 0, 4);
+    };
+    k.maple_access = [&](cpu::Core &c, core::MapleApi &api, unsigned p, unsigned n) {
+        return mapleAccess(c, s, ls, *bar, api, p, p, n);
+    };
+    k.maple_execute = [&](cpu::Core &c, core::MapleApi &api, unsigned p, unsigned n) {
+        return mapleExecute(c, s, ls, *bar, api, p, p, n, p == 0);
+    };
+    k.swq_access = [&](cpu::Core &c, baselines::SwQueue &q, unsigned p, unsigned n) {
+        return swqAccess(c, s, ls, *bar, q, p, n);
+    };
+    k.swq_execute = [&](cpu::Core &c, baselines::SwQueue &q, unsigned p, unsigned n) {
+        return swqExecute(c, s, ls, *bar, q, p, n, p == 0);
+    };
+    k.desc_supply = [&](cpu::Core &c, baselines::DescQueue &q, unsigned p, unsigned n) {
+        return descSupply(q.eq(), c, s, ls, *bar, q, p, n, &exec_levels[p],
+                          &edges_done[p], p == 0);
+    };
+    k.desc_compute = [&](cpu::Core &c, baselines::DescQueue &q, unsigned p, unsigned) {
+        return descCompute(c, s, ls, *bar, q, &exec_levels[p], &edges_done[p]);
+    };
+    k.droplet = [&] {
+        return DropletRegion{s.g.col_idx.addr(0), s.g.col_idx.size(), s.dist.addr(0)};
+    };
+    k.check = [&](RunResult &r) { checkBitwise(s.dist.download(), golden_, r); };
+    return runTechnique(name(), cfg, k);
 }
 
 }  // namespace

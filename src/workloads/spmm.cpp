@@ -10,9 +10,6 @@
  * doall parallelism. Prefetching still applies: LIMA speculatively pushes
  * the Y[r][W.col[t]] lines into the LLC ahead of the RMW burst.
  */
-#include <optional>
-
-#include "baselines/droplet.hpp"
 #include "workloads/workload.hpp"
 
 namespace maple::app {
@@ -139,78 +136,31 @@ class Spmm final : public Workload {
 RunResult
 Spmm::run(const RunConfig &cfg)
 {
-    RunResult res;
-    res.workload = name();
-    res.technique = techniqueName(cfg.tech);
-
-    // RMW accumulation defeats decoupling: the compiler pass falls back to
-    // doall for those techniques (keeping the same thread count).
-    Technique tech = cfg.tech;
-    if (tech == Technique::MapleDecouple || tech == Technique::SwDecouple ||
-        tech == Technique::Desc) {
-        tech = Technique::Doall;
-        res.fell_back_to_doall = true;
-    }
-
-    unsigned threads = tech == Technique::NoPrefetch ||
-                               tech == Technique::SwPrefetch ||
-                               tech == Technique::LimaPrefetch
-                           ? 1
-                           : cfg.threads;
-
-    soc::SocConfig scfg = cfg.soc;
-    scfg.num_cores = std::max(scfg.num_cores, threads);
-    soc::Soc soc(scfg);
-    os::Process &proc = soc.createProcess("spmm");
-
+    // RMW accumulation defeats decoupling: with no pair workers the
+    // decoupled techniques fall back to doall (same thread count), and LIMA
+    // prefetches speculatively into the LLC without a queue.
     SpmmSim s;
-    s.a = SimCsr::upload(proc, a_, true);
-    s.w = SimCsr::upload(proc, w_, true);
-    s.y = SimArray<float>(proc, golden_.size(), "y");
-    s.dim = a_.rows;
-
-    std::optional<core::MapleApi> api;
-    std::optional<baselines::DropletPrefetcher> droplet;
-    if (tech == Technique::LimaPrefetch) {
-        api.emplace(core::MapleApi::attach(proc, soc.maple()));
-    } else if (tech == Technique::Droplet) {
-        // Index chain A.col -> W.row_ptr: prefetch the W row bounds.
-        droplet.emplace(soc);
-        droplet->bind(proc, s.a.col_idx.addr(0), s.a.col_idx.size(), 4,
-                      s.w.row_ptr.addr(0), 4);
-    }
-
-    std::vector<sim::Join> joins;
-    switch (tech) {
-      case Technique::Doall:
-      case Technique::NoPrefetch:
-      case Technique::Droplet:
-        for (unsigned t = 0; t < threads; ++t)
-            joins.push_back(sim::spawn(doallWorker(
-                soc.core(t), s, chunkOf(s.dim, t, threads), 0)));
-        break;
-      case Technique::SwPrefetch:
-        joins.push_back(sim::spawn(doallWorker(
-            soc.core(0), s, Chunk{0, s.dim}, std::max(2u, cfg.prefetch_distance / 2))));
-        break;
-      case Technique::LimaPrefetch:
-        joins.push_back(sim::spawn(limaWorker(soc.core(0), s, *api)));
-        break;
-      default:
-        MAPLE_PANIC("unreachable: decoupling already lowered to doall");
-    }
-
-    res.cycles = soc.run(std::move(joins), cfg.max_cycles);
-
-    std::vector<float> y = s.y.download();
-    res.valid = true;
-    for (size_t i = 0; i < golden_.size(); ++i) {
-        res.checksum += bitsFromF32(y[i]);
-        if (bitsFromF32(y[i]) != bitsFromF32(golden_[i]))
-            res.valid = false;
-    }
-    collectCoreStats(soc, res);
-    return res;
+    WorkloadParts k;
+    k.upload = [&](os::Process &proc, unsigned, unsigned) {
+        s.a = SimCsr::upload(proc, a_, true);
+        s.w = SimCsr::upload(proc, w_, true);
+        s.y = SimArray<float>(proc, golden_.size(), "y");
+        s.dim = a_.rows;
+    };
+    k.doall = [&](cpu::Core &c, unsigned t, unsigned n) {
+        return doallWorker(c, s, chunkOf(s.dim, t, n), 0);
+    };
+    k.sw_prefetch = [&](cpu::Core &c) {
+        return doallWorker(c, s, Chunk{0, s.dim}, std::max(2u, cfg.prefetch_distance / 2));
+    };
+    k.lima = [&](cpu::Core &c, core::MapleApi &api) { return limaWorker(c, s, api); };
+    k.lima_opens_queue = false;
+    // Index chain A.col -> W.row_ptr: prefetch the W row bounds.
+    k.droplet = [&] {
+        return DropletRegion{s.a.col_idx.addr(0), s.a.col_idx.size(), s.w.row_ptr.addr(0)};
+    };
+    k.check = [&](RunResult &r) { checkBitwise(s.y.download(), golden_, r); };
+    return runTechnique(name(), cfg, k);
 }
 
 }  // namespace

@@ -8,10 +8,7 @@
  * the paper is implemented against the same kernel and validated bitwise
  * against a host-computed golden result.
  */
-#include <optional>
-
 #include "baselines/desc.hpp"
-#include "baselines/droplet.hpp"
 #include "baselines/sw_queue.hpp"
 #include "workloads/workload.hpp"
 
@@ -307,128 +304,51 @@ class Spmv final : public Workload {
 RunResult
 Spmv::run(const RunConfig &cfg)
 {
-    RunResult res;
-    res.workload = name();
-    res.technique = techniqueName(cfg.tech);
-
-    unsigned threads = cfg.tech == Technique::NoPrefetch ||
-                               cfg.tech == Technique::SwPrefetch ||
-                               cfg.tech == Technique::LimaPrefetch
-                           ? 1
-                           : cfg.threads;
-
-    soc::SocConfig scfg = cfg.soc;
-    scfg.num_cores = std::max(scfg.num_cores, threads);
-    soc::Soc soc(scfg);
-    os::Process &proc = soc.createProcess("spmv");
-
     SpmvSim s;
-    s.m = SimCsr::upload(proc, m_, /*with_vals=*/true);
-    s.x = SimArray<float>(proc, x_.size(), "x");
-    s.x.upload(x_);
-    s.y = SimArray<float>(proc, m_.rows, "y");
-    s.rows = m_.rows;
-
-    std::optional<core::MapleApi> api;
-    std::optional<baselines::DropletPrefetcher> droplet;
-    std::vector<std::unique_ptr<baselines::SwQueue>> swqs;
-    std::vector<std::unique_ptr<baselines::DescQueue>> descs;
-    std::unique_ptr<bool[]> exec_done;
-
-    const bool decoupled = cfg.tech == Technique::MapleDecouple ||
-                           cfg.tech == Technique::SwDecouple ||
-                           cfg.tech == Technique::Desc;
-    unsigned pairs = decoupled ? std::max(1u, threads / 2) : 0;
-
-    // Technique-specific setup (runs before the measured region).
-    if (cfg.tech == Technique::MapleDecouple || cfg.tech == Technique::LimaPrefetch) {
-        api.emplace(core::MapleApi::attach(proc, soc.maple()));
-        unsigned queues = cfg.tech == Technique::LimaPrefetch ? 1 : pairs;
-        auto setup = [](core::MapleApi &a, cpu::Core &c, unsigned nq,
-                        unsigned entries) -> sim::Task<void> {
-            co_await a.init(c, nq, entries, 4);
-            for (unsigned q = 0; q < nq; ++q) {
-                bool ok = co_await a.open(c, q);
-                MAPLE_ASSERT(ok, "failed to open MAPLE queue %u", q);
-            }
-        };
-        soc.run({sim::spawn(setup(*api, soc.core(0), queues, cfg.queue_entries))},
-                cfg.max_cycles);
-    } else if (cfg.tech == Technique::SwDecouple) {
-        for (unsigned p = 0; p < pairs; ++p)
-            swqs.push_back(std::make_unique<baselines::SwQueue>(proc, 1024));
-    } else if (cfg.tech == Technique::Desc) {
+    std::unique_ptr<bool[]> exec_done;  // per DeSC pair
+    auto rows = [this](unsigned p, unsigned n) { return chunkOf(m_.rows, p, n); };
+    WorkloadParts k;
+    k.upload = [&](os::Process &proc, unsigned, unsigned pairs) {
+        s.m = SimCsr::upload(proc, m_, /*with_vals=*/true);
+        s.x = SimArray<float>(proc, x_.size(), "x");
+        s.x.upload(x_);
+        s.y = SimArray<float>(proc, m_.rows, "y");
+        s.rows = m_.rows;
         exec_done = std::make_unique<bool[]>(pairs);
-        for (unsigned p = 0; p < pairs; ++p)
-            descs.push_back(std::make_unique<baselines::DescQueue>(
-                soc.eq(), soc.physMem(), soc.addLlcPort(soc.coreTile(2 * p))));
-    } else if (cfg.tech == Technique::Droplet) {
-        droplet.emplace(soc);
-        droplet->bind(proc, s.m.col_idx.addr(0), s.m.col_idx.size(), 4,
-                      s.x.addr(0), 4);
-    }
-
-    sim::Cycle t0 = soc.eq().now();
-    std::vector<sim::Join> joins;
-
-    switch (cfg.tech) {
-      case Technique::Doall:
-      case Technique::NoPrefetch:
-      case Technique::Droplet:
-        for (unsigned t = 0; t < threads; ++t)
-            joins.push_back(sim::spawn(
-                doallWorker(soc.core(t), s, chunkOf(m_.rows, t, threads))));
-        break;
-      case Technique::SwPrefetch:
-        joins.push_back(sim::spawn(swPrefetchWorker(
-            soc.core(0), s, Chunk{0, m_.rows}, cfg.prefetch_distance,
-            static_cast<std::uint32_t>(m_.nnz()))));
-        break;
-      case Technique::LimaPrefetch:
-        joins.push_back(sim::spawn(
-            limaWorker(soc.core(0), s, *api, 0, std::max(2u, cfg.prefetch_distance / 2))));
-        break;
-      case Technique::MapleDecouple:
-        for (unsigned p = 0; p < pairs; ++p) {
-            Chunk rows = chunkOf(m_.rows, p, pairs);
-            joins.push_back(sim::spawn(mapleAccess(soc.core(2 * p), s, *api, p, rows)));
-            joins.push_back(sim::spawn(mapleExecute(soc.core(2 * p + 1), s, *api, p, rows)));
-        }
-        break;
-      case Technique::SwDecouple:
-        for (unsigned p = 0; p < pairs; ++p) {
-            Chunk rows = chunkOf(m_.rows, p, pairs);
-            joins.push_back(sim::spawn(swqAccess(soc.core(2 * p), s, *swqs[p], rows)));
-            joins.push_back(sim::spawn(swqExecute(soc.core(2 * p + 1), s, *swqs[p], rows)));
-        }
-        break;
-      case Technique::Desc:
-        for (unsigned p = 0; p < pairs; ++p) {
-            Chunk rows = chunkOf(m_.rows, p, pairs);
-            joins.push_back(sim::spawn(descSupply(soc.eq(), soc.core(2 * p), s,
-                                                  *descs[p], rows,
-                                                  &exec_done[p])));
-            joins.push_back(sim::spawn(descCompute(soc.core(2 * p + 1), s,
-                                                   *descs[p], rows,
-                                                   &exec_done[p])));
-        }
-        break;
-    }
-
-    res.cycles = soc.run(std::move(joins), cfg.max_cycles);
-    (void)t0;
-
-    // Validate bitwise against the host golden result.
-    std::vector<float> y = s.y.download();
-    res.valid = true;
-    res.checksum = 0;
-    for (std::uint32_t r = 0; r < m_.rows; ++r) {
-        res.checksum += bitsFromF32(y[r]);
-        if (bitsFromF32(y[r]) != bitsFromF32(golden_[r]))
-            res.valid = false;
-    }
-    collectCoreStats(soc, res);
-    return res;
+    };
+    k.doall = [&](cpu::Core &c, unsigned t, unsigned n) {
+        return doallWorker(c, s, rows(t, n));
+    };
+    k.sw_prefetch = [&](cpu::Core &c) {
+        return swPrefetchWorker(c, s, Chunk{0, m_.rows}, cfg.prefetch_distance,
+                                static_cast<std::uint32_t>(m_.nnz()));
+    };
+    k.lima = [&](cpu::Core &c, core::MapleApi &api) {
+        return limaWorker(c, s, api, 0, std::max(2u, cfg.prefetch_distance / 2));
+    };
+    k.maple_access = [&](cpu::Core &c, core::MapleApi &api, unsigned p, unsigned n) {
+        return mapleAccess(c, s, api, p, rows(p, n));
+    };
+    k.maple_execute = [&](cpu::Core &c, core::MapleApi &api, unsigned p, unsigned n) {
+        return mapleExecute(c, s, api, p, rows(p, n));
+    };
+    k.swq_access = [&](cpu::Core &c, baselines::SwQueue &q, unsigned p, unsigned n) {
+        return swqAccess(c, s, q, rows(p, n));
+    };
+    k.swq_execute = [&](cpu::Core &c, baselines::SwQueue &q, unsigned p, unsigned n) {
+        return swqExecute(c, s, q, rows(p, n));
+    };
+    k.desc_supply = [&](cpu::Core &c, baselines::DescQueue &q, unsigned p, unsigned n) {
+        return descSupply(q.eq(), c, s, q, rows(p, n), &exec_done[p]);
+    };
+    k.desc_compute = [&](cpu::Core &c, baselines::DescQueue &q, unsigned p, unsigned n) {
+        return descCompute(c, s, q, rows(p, n), &exec_done[p]);
+    };
+    k.droplet = [&] {
+        return DropletRegion{s.m.col_idx.addr(0), s.m.col_idx.size(), s.x.addr(0)};
+    };
+    k.check = [&](RunResult &r) { checkBitwise(s.y.download(), golden_, r); };
+    return runTechnique(name(), cfg, k);
 }
 
 }  // namespace

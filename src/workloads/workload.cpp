@@ -1,6 +1,24 @@
 #include "workloads/workload.hpp"
 
+#include <deque>
+#include <optional>
+
+#include "baselines/desc.hpp"
+#include "baselines/droplet.hpp"
+#include "baselines/sw_queue.hpp"
+
 namespace maple::app {
+
+namespace {
+
+bool
+decouples(Technique t)
+{
+    return t == Technique::MapleDecouple || t == Technique::SwDecouple ||
+           t == Technique::Desc;
+}
+
+}  // namespace
 
 const char *
 techniqueName(Technique t)
@@ -46,6 +64,100 @@ collectCoreStats(soc::Soc &soc, RunResult &r)
     r.mean_load_latency =
         total_loads ? latency_weighted / static_cast<double>(total_loads) : 0.0;
     r.sim_events = soc.eq().executed();
+}
+
+RunResult
+runTechnique(const std::string &name, const RunConfig &cfg,
+             const WorkloadParts &parts)
+{
+    RunResult res;
+    res.workload = name;
+    res.technique = techniqueName(cfg.tech);
+    Technique tech = cfg.tech;
+    if (decouples(tech) && !parts.maple_access) {
+        tech = Technique::Doall;
+        res.fell_back_to_doall = true;
+    }
+    const unsigned threads = tech == Technique::NoPrefetch ||
+                                     tech == Technique::SwPrefetch ||
+                                     tech == Technique::LimaPrefetch
+                                 ? 1
+                                 : cfg.threads;
+    const unsigned pairs = decouples(tech) ? std::max(1u, threads / 2) : 0;
+
+    soc::SocConfig scfg = cfg.soc;
+    scfg.num_cores = std::max(scfg.num_cores, threads);
+    soc::Soc soc(scfg);
+    os::Process &proc = soc.createProcess(name);
+    parts.upload(proc, threads, pairs);
+
+    // Technique setup, before the measured run. Declared after the Soc so
+    // they die first: DROPLET's destructor unhooks the LLC front.
+    std::optional<core::MapleApi> api;
+    std::deque<baselines::SwQueue> swqs;
+    std::deque<baselines::DescQueue> descs;
+    std::optional<baselines::DropletPrefetcher> droplet;
+    if (tech == Technique::MapleDecouple || tech == Technique::LimaPrefetch) {
+        api.emplace(core::MapleApi::attach(proc, soc.maple()));
+        const unsigned queues = tech == Technique::LimaPrefetch
+                                    ? (parts.lima_opens_queue ? 1 : 0)
+                                    : pairs;
+        if (queues > 0) {
+            soc.run({sim::spawn(api->initAndOpen(soc.core(0), queues,
+                                                 cfg.queue_entries, 4))},
+                    cfg.max_cycles);
+        }
+    } else if (tech == Technique::SwDecouple) {
+        for (unsigned p = 0; p < pairs; ++p)
+            swqs.emplace_back(proc, 1024);
+    } else if (tech == Technique::Desc) {
+        for (unsigned p = 0; p < pairs; ++p)
+            descs.emplace_back(soc.eq(), soc.physMem(),
+                               soc.addLlcPort(soc.coreTile(2 * p)));
+    } else if (tech == Technique::Droplet) {
+        const DropletRegion r = parts.droplet();
+        droplet.emplace(soc);
+        droplet->bind(proc, r.index, r.count, 4, r.data, 4);
+    }
+
+    std::vector<sim::Join> joins;
+    auto spawn = [&joins](sim::Task<void> t) {
+        joins.push_back(sim::spawn(std::move(t)));
+    };
+    // Pair p: access on core 2p, then execute on core 2p + 1, over queue q.
+    auto spawnPair = [&](const auto &access, const auto &execute, auto &q,
+                         unsigned p) {
+        spawn(access(soc.core(2 * p), q, p, pairs));
+        spawn(execute(soc.core(2 * p + 1), q, p, pairs));
+    };
+    switch (tech) {
+      case Technique::SwPrefetch:
+        spawn(parts.sw_prefetch(soc.core(0)));
+        break;
+      case Technique::LimaPrefetch:
+        spawn(parts.lima(soc.core(0), *api));
+        break;
+      case Technique::MapleDecouple:
+        for (unsigned p = 0; p < pairs; ++p)
+            spawnPair(parts.maple_access, parts.maple_execute, *api, p);
+        break;
+      case Technique::SwDecouple:
+        for (unsigned p = 0; p < pairs; ++p)
+            spawnPair(parts.swq_access, parts.swq_execute, swqs[p], p);
+        break;
+      case Technique::Desc:
+        for (unsigned p = 0; p < pairs; ++p)
+            spawnPair(parts.desc_supply, parts.desc_compute, descs[p], p);
+        break;
+      default:  // doall, no-prefetch, droplet
+        for (unsigned t = 0; t < threads; ++t)
+            spawn(parts.doall(soc.core(t), t, threads));
+    }
+
+    res.cycles = soc.run(std::move(joins), cfg.max_cycles);
+    parts.check(res);
+    collectCoreStats(soc, res);
+    return res;
 }
 
 std::vector<std::unique_ptr<Workload>>

@@ -7,11 +7,14 @@
  * executes the requested technique as coroutine "threads" on the simulated
  * cores, and returns cycle counts, instruction/load counters and a checksum
  * validated against the golden result -- so every performance number the
- * benches print comes from a functionally-correct execution.
+ * benches print comes from a functionally-correct execution. The four paper
+ * workloads hand their own parts (WorkloadParts) to runTechnique(), which
+ * owns the protocol they share (DESIGN.md section 17).
  */
 #pragma once
 
 #include <bit>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +22,11 @@
 #include "core/maple_runtime.hpp"
 #include "soc/soc.hpp"
 #include "workloads/data.hpp"
+
+namespace maple::baselines {
+class DescQueue;
+class SwQueue;
+}  // namespace maple::baselines
 
 namespace maple::app {
 
@@ -102,6 +110,65 @@ Chunk chunkOf(std::uint64_t total, unsigned t, unsigned n);
 
 /** Sum per-core stats into @p r after a run. */
 void collectCoreStats(soc::Soc &soc, RunResult &r);
+
+/** Sets @p r .checksum to the sum of @p got's 32-bit patterns and @p r
+ *  .valid to whether they all equal @p golden's. */
+template <class T>
+void
+checkBitwise(const std::vector<T> &got, const std::vector<T> &golden, RunResult &r)
+{
+    r.valid = true;
+    for (size_t i = 0; i < golden.size(); ++i) {
+        const auto bits = std::bit_cast<std::uint32_t>(got[i]);
+        r.checksum += bits;
+        if (bits != std::bit_cast<std::uint32_t>(golden[i]))
+            r.valid = false;
+    }
+}
+
+/** DROPLET's (index, data) region: @p count 4-byte indices into @p data. */
+struct DropletRegion {
+    sim::Addr index;
+    std::uint64_t count;
+    sim::Addr data;
+};
+
+/**
+ * A workload's own parts of a technique run; runTechnique() does the rest.
+ * Each hook runs once per run or once per spawned worker, never per event.
+ */
+struct WorkloadParts {
+    /// Worker of access/execute pair @p p of @p n over queue @p q.
+    template <class Q>
+    using PairWorker =
+        std::function<sim::Task<void>(cpu::Core &, Q &q, unsigned p, unsigned n)>;
+
+    /** Allocate and upload the dataset. The run spawns @p threads workers,
+     *  or 2 * @p pairs when the technique decouples (else @p pairs is 0). */
+    std::function<void(os::Process &, unsigned threads, unsigned pairs)> upload;
+    /** Worker @p t of @p n: doall, no-prefetch and droplet. */
+    std::function<sim::Task<void>(cpu::Core &, unsigned t, unsigned n)> doall;
+    std::function<sim::Task<void>(cpu::Core &)> sw_prefetch;
+    std::function<sim::Task<void>(cpu::Core &, core::MapleApi &)> lima;
+    /** False when LIMA only prefetches into the LLC: no queue is opened. */
+    bool lima_opens_queue = true;
+    /** Empty when the kernel cannot be decoupled: the decoupled techniques
+     *  then run doall and set RunResult::fell_back_to_doall. */
+    PairWorker<core::MapleApi> maple_access, maple_execute;
+    PairWorker<baselines::SwQueue> swq_access, swq_execute;
+    PairWorker<baselines::DescQueue> desc_supply, desc_compute;
+    std::function<DropletRegion()> droplet;
+    /** Compare the device result with the golden one (checkBitwise). */
+    std::function<void(RunResult &)> check;
+};
+
+/**
+ * Run @p cfg .tech over the workload @p name: size and build one SoC, upload,
+ * set the technique up in a separate run, spawn its workers, time them, then
+ * check and collect stats (DESIGN.md section 17).
+ */
+RunResult runTechnique(const std::string &name, const RunConfig &cfg,
+                       const WorkloadParts &parts);
 
 /**
  * Consumes a stream of 4-byte queue entries using ConsumePair (one 8-byte

@@ -8,30 +8,11 @@
 #include "campaign/health.hpp"
 #include "ckpt/snapshot.hpp"
 #include "sim/error.hpp"
+#include "sim/fnv.hpp"
 
 namespace maple::campaign {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t
-fnvBytes(std::uint64_t h, const void *data, size_t len)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
-std::uint64_t
-fnvStr(std::uint64_t h, const std::string &s)
-{
-    return fnvBytes(h, s.data(), s.size());
-}
 
 /** Content hash of the running binary; the "code version" of a result. */
 std::uint64_t
@@ -49,10 +30,10 @@ fileContentHash(const std::string &path)
     std::ifstream f(path, std::ios::binary);
     MAPLE_CHECK(f.good(), sim::ConfigError,
                 "cannot hash %s: file is unreadable", path.c_str());
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = sim::kFnvOffset;
     char buf[1 << 16];
     while (f.read(buf, sizeof buf) || f.gcount() > 0)
-        h = fnvBytes(h, buf, static_cast<size_t>(f.gcount()));
+        h = sim::fnv1a({buf, static_cast<size_t>(f.gcount())}, h);
     return h;
 }
 
@@ -64,21 +45,17 @@ ResultCache::ResultCache(std::string dir, bool enabled)
 std::string
 ResultCache::keyFor(const Job &job) const
 {
-    std::uint64_t h = kFnvOffset;
-    h = fnvBytes(h, &kCacheVersion, sizeof kCacheVersion);
-    h = fnvBytes(h, &ckpt::kFormatVersion, sizeof ckpt::kFormatVersion);
-    h = fnvStr(h, job.type);
-    h = fnvStr(h, json::dump(job.spec));
-    std::uint64_t self = selfExeHash();
-    h = fnvBytes(h, &self, sizeof self);
+    std::uint64_t h = sim::kFnvOffset;
+    sim::fnvMix(h, kCacheVersion, sizeof kCacheVersion);
+    sim::fnvMix(h, ckpt::kFormatVersion, sizeof ckpt::kFormatVersion);
+    h = sim::fnv1a(job.type, h);
+    h = sim::fnv1a(json::dump(job.spec), h);
+    sim::fnvMix(h, selfExeHash());
     if (job.type == "exec") {
         const std::string bin = job.spec.get("argv")->asArray()[0].asString();
-        std::uint64_t bh = fileContentHash(bin);
-        h = fnvBytes(h, &bh, sizeof bh);
+        sim::fnvMix(h, fileContentHash(bin));
     }
-    char hex[17];
-    std::snprintf(hex, sizeof hex, "%016llx", (unsigned long long)h);
-    return hex;
+    return sim::hex64(h);
 }
 
 std::optional<json::Value>
@@ -106,7 +83,7 @@ ResultCache::load(const std::string &key) const
             const std::uint64_t want =
                 std::strtoull(want_hex.c_str(), nullptr, 16);
             const std::string dumped = json::dump(*payload);
-            const std::uint64_t got = fnvStr(kFnvOffset, dumped);
+            const std::uint64_t got = sim::fnv1a(dumped);
             if (want != got)
                 why = "checksum mismatch";
             else
@@ -130,11 +107,8 @@ ResultCache::store(const std::string &key, const json::Value &result) const
     const std::string path = dir_ + "/" + key + ".json";
     ChaosPlan::env().maybeSlowIo("cache-store:" + key);
 
-    const std::uint64_t h = fnvStr(kFnvOffset, json::dump(result));
-    char hex[17];
-    std::snprintf(hex, sizeof hex, "%016llx", (unsigned long long)h);
     json::Object entry;
-    entry.emplace_back("fnv64", json::Value(std::string(hex)));
+    entry.emplace_back("fnv64", json::Value(sim::hex64(sim::fnv1a(json::dump(result)))));
     entry.emplace_back("payload", result);
     json::writeFile(path, json::Value(std::move(entry)));
 

@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "sim/error.hpp"
+#include "sim/fnv.hpp"
 
 namespace maple::campaign {
 
@@ -138,20 +139,6 @@ RetryPolicy::backoffSeconds(unsigned attempt)
 // ChaosPlan
 // ---------------------------------------------------------------------------
 
-namespace {
-
-std::uint64_t
-fnvOf(const std::string &s, std::uint64_t h = 1469598103934665603ull)
-{
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-}  // namespace
-
 ChaosPlan
 ChaosPlan::parse(const std::string &text)
 {
@@ -224,7 +211,7 @@ ChaosPlan::draw(const std::string &site) const
 {
     if (rate <= 0)
         return false;
-    sim::Rng rng(fnvOf(site) ^ seed);
+    sim::Rng rng(sim::fnv1a(site) ^ seed);
     return rng.uniform() < rate;
 }
 
@@ -270,7 +257,7 @@ ChaosPlan::maybeCorruptFile(const std::string &path,
         return;
     // Deterministic victim byte, past any header so structural checks don't
     // always trip before the checksum does.
-    sim::Rng rng(fnvOf("victim:" + site) ^ seed);
+    sim::Rng rng(sim::fnv1a("victim:" + site) ^ seed);
     const std::streamoff off =
         static_cast<std::streamoff>(rng.below(static_cast<std::uint64_t>(size)));
     f.seekg(off);

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "sim/error.hpp"
+#include "sim/fnv.hpp"
 
 namespace maple::campaign {
 
@@ -96,13 +97,7 @@ replayJournal(const std::string &path)
 std::uint64_t
 specFingerprint(const json::Value &doc)
 {
-    const std::string s = json::dump(doc);
-    std::uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
+    return sim::fnv1a(json::dump(doc));
 }
 
 }  // namespace maple::campaign

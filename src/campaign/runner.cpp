@@ -22,6 +22,7 @@
 #include "campaign/journal.hpp"
 #include "ckpt/snapshot.hpp"
 #include "harness/scenario.hpp"
+#include "sim/fnv.hpp"
 #include "soc/soc.hpp"
 
 namespace maple::campaign {
@@ -261,25 +262,6 @@ execChild(const JobState &st, const std::string &out_path,
     ::_exit(127);
 }
 
-std::string
-hex64(std::uint64_t h)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx", (unsigned long long)h);
-    return buf;
-}
-
-std::uint64_t
-fnvString(const std::string &s)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 }  // namespace
 
 int
@@ -306,8 +288,8 @@ runCampaign(const CampaignSpec &spec, const RunnerOptions &opts)
             MAPLE_CHECK(replay.spec_fnv == spec_fnv, sim::ConfigError,
                         "cannot resume %s: journal was written by a "
                         "different campaign spec (fnv %s != %s)",
-                        out.c_str(), hex64(replay.spec_fnv).c_str(),
-                        hex64(spec_fnv).c_str());
+                        out.c_str(), sim::hex64(replay.spec_fnv).c_str(),
+                        sim::hex64(spec_fnv).c_str());
         if (replay.torn_lines)
             std::fprintf(stderr,
                          "resume: skipped %u torn journal line(s)\n",
@@ -319,7 +301,7 @@ runCampaign(const CampaignSpec &spec, const RunnerOptions &opts)
         json::Object hdr;
         hdr.emplace_back("event", json::Value("campaign"));
         hdr.emplace_back("name", json::Value(spec.name));
-        hdr.emplace_back("spec_fnv", json::Value(hex64(spec_fnv)));
+        hdr.emplace_back("spec_fnv", json::Value(sim::hex64(spec_fnv)));
         hdr.emplace_back("resume", json::Value(opts.resume));
         journal.append(json::Value(std::move(hdr)));
     }
@@ -447,7 +429,7 @@ runCampaign(const CampaignSpec &spec, const RunnerOptions &opts)
         auto it = warm_paths.find(wk);
         if (it == warm_paths.end()) {
             const std::string path =
-                warm_dir + "/" + hex64(fnvString(wk)) + ".img";
+                warm_dir + "/" + sim::hex64(sim::fnv1a(wk)) + ".img";
             if (opts.resume && fs::exists(path)) {
                 // Reuse the previous incarnation's image; children fall
                 // back to a cold run if it fails its checksum.
@@ -461,7 +443,7 @@ runCampaign(const CampaignSpec &spec, const RunnerOptions &opts)
                 ++warmups_run;
                 if (chaos.corrupt_snapshot)
                     chaos.maybeCorruptFile(
-                        path, "corrupt-snapshot:" + hex64(fnvString(wk)));
+                        path, "corrupt-snapshot:" + sim::hex64(sim::fnv1a(wk)));
                 it = warm_paths.emplace(wk, path).first;
             }
         }

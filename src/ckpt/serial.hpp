@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "sim/error.hpp"
+#include "sim/fnv.hpp"
 
 namespace maple::ckpt {
 
@@ -59,9 +60,9 @@ class SnapshotError::BadChecksum : public SnapshotError {
     using SnapshotError::SnapshotError;
 };
 
-/** FNV-1a offset/prime, shared by the Sink/Source running checksums. */
-inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+/** FNV-1a (sim/fnv.hpp), behind the Sink/Source running checksums. */
+using sim::kFnvOffset;
+using sim::kFnvPrime;
 
 /** An integral or enum field, sent as an unsigned integer of a named width. */
 template <class T>
@@ -185,12 +186,7 @@ class Sink {
         }
     }
 
-    void
-    mix(std::uint8_t v)
-    {
-        hash_ ^= v;
-        hash_ *= kFnvPrime;
-    }
+    void mix(std::uint8_t v) { sim::fnvMix(hash_, v, 1); }
 
     std::ostream &os_;
     std::uint64_t hash_ = kFnvOffset;
@@ -404,12 +400,7 @@ class Source {
         pos_ += n;
     }
 
-    void
-    mix(std::uint8_t v)
-    {
-        hash_ ^= v;
-        hash_ *= kFnvPrime;
-    }
+    void mix(std::uint8_t v) { sim::fnvMix(hash_, v, 1); }
 
     std::istream &is_;
     std::uint64_t hash_ = kFnvOffset;

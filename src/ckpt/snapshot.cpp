@@ -12,25 +12,15 @@ namespace maple::ckpt {
 
 namespace {
 
-// kFnvOffset / kFnvPrime come from serial.hpp (shared with the stream
-// checksum machinery).
-
-void
-mix(std::uint64_t &h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xffu;
-        h *= kFnvPrime;
-    }
-}
+using sim::fnvMix;
 
 void
 mixCache(std::uint64_t &h, const mem::CacheParams &p)
 {
-    mix(h, p.size_bytes);
-    mix(h, p.assoc);
-    mix(h, p.hit_latency);
-    mix(h, p.mshrs);
+    fnvMix(h, p.size_bytes);
+    fnvMix(h, p.assoc);
+    fnvMix(h, p.hit_latency);
+    fnvMix(h, p.mshrs);
 }
 
 }  // namespace
@@ -45,47 +35,47 @@ configHash(const soc::SocConfig &raw)
     soc::resolveConfig(cfg);
 
     std::uint64_t h = kFnvOffset;
-    mix(h, cfg.num_cores);
-    mix(h, cfg.num_maples);
-    mix(h, cfg.mesh_width);
-    mix(h, cfg.mesh_height);
-    mix(h, cfg.dram_bytes);
+    fnvMix(h, cfg.num_cores);
+    fnvMix(h, cfg.num_maples);
+    fnvMix(h, cfg.mesh_width);
+    fnvMix(h, cfg.mesh_height);
+    fnvMix(h, cfg.dram_bytes);
     mixCache(h, cfg.l1);
     mixCache(h, cfg.llc);
-    mix(h, cfg.dram.latency);
-    mix(h, cfg.dram.cycles_per_line);
-    mix(h, cfg.dram.channels);
-    mix(h, static_cast<std::uint64_t>(cfg.dram.arb));
-    mix(h, static_cast<std::uint64_t>(cfg.llc_arb));
-    mix(h, cfg.mesh.hop_latency);
-    mix(h, cfg.mesh.flit_bytes);
-    mix(h, cfg.core_proto.issue_cycles);
-    mix(h, cfg.core_proto.tlb_entries);
-    mix(h, cfg.core_proto.l1_bypass);
-    mix(h, cfg.core_proto.l15_latency);
-    mix(h, cfg.core_proto.store_buffer);
-    mix(h, cfg.core_proto.mmio_extra_latency);
-    mix(h, cfg.maple_proto.scratchpad_bytes);
-    mix(h, cfg.maple_proto.max_queues);
-    mix(h, cfg.maple_proto.produce_buffer);
-    mix(h, cfg.maple_proto.lima_cmds);
-    mix(h, cfg.maple_proto.pipe_latency);
-    mix(h, cfg.maple_proto.tlb_entries);
-    mix(h, cfg.maple_proto.fetch_via_llc ? 1 : 0);
-    mix(h, cfg.maple_proto.shared_pipeline_hazard ? 1 : 0);
-    mix(h, cfg.kernel.fault_latency);
+    fnvMix(h, cfg.dram.latency);
+    fnvMix(h, cfg.dram.cycles_per_line);
+    fnvMix(h, cfg.dram.channels);
+    fnvMix(h, static_cast<std::uint64_t>(cfg.dram.arb));
+    fnvMix(h, static_cast<std::uint64_t>(cfg.llc_arb));
+    fnvMix(h, cfg.mesh.hop_latency);
+    fnvMix(h, cfg.mesh.flit_bytes);
+    fnvMix(h, cfg.core_proto.issue_cycles);
+    fnvMix(h, cfg.core_proto.tlb_entries);
+    fnvMix(h, cfg.core_proto.l1_bypass);
+    fnvMix(h, cfg.core_proto.l15_latency);
+    fnvMix(h, cfg.core_proto.store_buffer);
+    fnvMix(h, cfg.core_proto.mmio_extra_latency);
+    fnvMix(h, cfg.maple_proto.scratchpad_bytes);
+    fnvMix(h, cfg.maple_proto.max_queues);
+    fnvMix(h, cfg.maple_proto.produce_buffer);
+    fnvMix(h, cfg.maple_proto.lima_cmds);
+    fnvMix(h, cfg.maple_proto.pipe_latency);
+    fnvMix(h, cfg.maple_proto.tlb_entries);
+    fnvMix(h, cfg.maple_proto.fetch_via_llc ? 1 : 0);
+    fnvMix(h, cfg.maple_proto.shared_pipeline_hazard ? 1 : 0);
+    fnvMix(h, cfg.kernel.fault_latency);
     // Mixed only when a protocol is enabled, so a coherence-free config
     // hashes identically to builds that predate coherence (their snapshots
     // would still be rejected by the format-version bump, but warm images
     // taken by *this* build in none mode stay portable across the flag).
     const mem::CoherenceConfig &coh = cfg.coherence;
     if (coh.enabled()) {
-        mix(h, static_cast<std::uint64_t>(coh.mode));
-        mix(h, coh.dir_entries);
-        mix(h, coh.dir_assoc);
-        mix(h, coh.max_sharers);
-        mix(h, coh.dir_latency);
-        mix(h, cfg.llc_slices);
+        fnvMix(h, static_cast<std::uint64_t>(coh.mode));
+        fnvMix(h, coh.dir_entries);
+        fnvMix(h, coh.dir_assoc);
+        fnvMix(h, coh.max_sharers);
+        fnvMix(h, coh.dir_latency);
+        fnvMix(h, cfg.llc_slices);
     }
     return h;
 }

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "sim/fnv.hpp"
 #include "sim/log.hpp"
 
 namespace maple::fault {
@@ -314,19 +315,10 @@ FaultInjector::livenessReport() const
 namespace {
 
 void
-fnvMix(std::uint64_t &h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xffu;
-        h *= 0x100000001b3ull;
-    }
-}
-
-void
 fnvMixRate(std::uint64_t &h, const FaultRate &r)
 {
-    fnvMix(h, std::bit_cast<std::uint64_t>(r.prob));
-    fnvMix(h, r.max_extra);
+    sim::fnvMix(h, std::bit_cast<std::uint64_t>(r.prob));
+    sim::fnvMix(h, r.max_extra);
 }
 
 }  // namespace
@@ -334,9 +326,11 @@ fnvMixRate(std::uint64_t &h, const FaultRate &r)
 std::uint64_t
 FaultInjector::configFingerprint() const
 {
+    // Seeded with the standard offset basis, not sim::kFnvOffset: snapshot
+    // images and cache keys embed this fingerprint.
     std::uint64_t h = 0xcbf29ce484222325ull;
-    fnvMix(h, cfg_.seed);
-    fnvMix(h, cfg_.class_mask);
+    sim::fnvMix(h, cfg_.seed);
+    sim::fnvMix(h, cfg_.class_mask);
     fnvMixRate(h, cfg_.noc);
     fnvMixRate(h, cfg_.dram);
     fnvMixRate(h, cfg_.tlb);

@@ -5,6 +5,7 @@
 #include "core/maple_runtime.hpp"
 #include "harness/stats_io.hpp"
 #include "sim/coro.hpp"
+#include "sim/fnv.hpp"
 #include "sim/random.hpp"
 
 namespace maple::harness {
@@ -57,13 +58,9 @@ buildSpmv(const ScenarioSpec &s)
 std::uint64_t
 fnv64(const std::vector<std::uint32_t> &v)
 {
-    std::uint64_t h = 1469598103934665603ull;
-    for (std::uint32_t w : v) {
-        for (int i = 0; i < 4; ++i) {
-            h ^= (w >> (8 * i)) & 0xffu;
-            h *= 1099511628211ull;
-        }
-    }
+    std::uint64_t h = sim::kFnvOffset;
+    for (std::uint32_t w : v)
+        sim::fnvMix(h, w, 4);
     return h;
 }
 

@@ -28,22 +28,21 @@ parseCampaignSpec(const json::Value &doc)
     MAPLE_CHECK(doc.isObject(), json::JsonError,
                 "campaign spec is not an object");
     CampaignSpec c;
-    c.name = doc.getString("name", c.name);
-    c.workers = static_cast<unsigned>(doc.getInt("workers", c.workers));
-    c.runs = static_cast<unsigned>(doc.getInt("runs", c.runs));
-    c.timeout_s = doc.getDouble("timeout_s", c.timeout_s);
+    c.name = json::field(doc, "name", c.name);
+    c.workers = json::field(doc, "workers", c.workers);
+    c.runs = json::field(doc, "runs", c.runs);
+    c.timeout_s = json::field(doc, "timeout_s", c.timeout_s);
     MAPLE_CHECK(c.workers >= 1 && (c.runs == 1 || c.runs == 2) &&
                     c.timeout_s > 0,
                 json::JsonError, "bad campaign parameters");
-    c.retry_budget =
-        static_cast<unsigned>(doc.getInt("retry_budget", c.retry_budget));
+    c.retry_budget = json::field(doc, "retry_budget", c.retry_budget);
     c.retry_backoff_base_s =
-        doc.getDouble("retry_backoff_base_s", c.retry_backoff_base_s);
+        json::field(doc, "retry_backoff_base_s", c.retry_backoff_base_s);
     c.retry_backoff_cap_s =
-        doc.getDouble("retry_backoff_cap_s", c.retry_backoff_cap_s);
+        json::field(doc, "retry_backoff_cap_s", c.retry_backoff_cap_s);
     c.heartbeat_timeout_s =
-        doc.getDouble("heartbeat_timeout_s", c.heartbeat_timeout_s);
-    c.grace_s = doc.getDouble("grace_s", c.grace_s);
+        json::field(doc, "heartbeat_timeout_s", c.heartbeat_timeout_s);
+    c.grace_s = json::field(doc, "grace_s", c.grace_s);
     MAPLE_CHECK(c.retry_backoff_base_s > 0 &&
                     c.retry_backoff_cap_s >= c.retry_backoff_base_s &&
                     c.heartbeat_timeout_s >= 0 && c.grace_s >= 0,
@@ -92,7 +91,7 @@ parseCampaignSpec(const json::Value &doc)
         for (auto &[label, v] : variants) {
             Job job;
             job.name = label.empty() ? "base" : label;
-            job.type = v.getString("type", "scenario");
+            job.type = json::field(v, "type", std::string("scenario"));
             MAPLE_CHECK(job.type == "scenario", json::JsonError,
                         "expanded jobs must be scenario jobs");
             job.spec = std::move(v);
@@ -107,9 +106,9 @@ parseCampaignSpec(const json::Value &doc)
             MAPLE_CHECK(v.isObject(), json::JsonError,
                         "job entry is not an object");
             Job job;
-            job.name =
-                v.getString("name", "job-" + std::to_string(c.jobs.size()));
-            job.type = v.getString("type", "scenario");
+            job.name = json::field(v, "name",
+                                   "job-" + std::to_string(c.jobs.size()));
+            job.type = json::field(v, "type", std::string("scenario"));
             MAPLE_CHECK(job.type == "scenario" || job.type == "exec",
                         json::JsonError, "job \"%s\": unknown type \"%s\"",
                         job.name.c_str(), job.type.c_str());
@@ -131,6 +130,8 @@ parseCampaignSpec(const json::Value &doc)
     for (Job &job : c.jobs) {
         MAPLE_CHECK(names.insert(job.name).second, json::JsonError,
                     "duplicate job name \"%s\"", job.name.c_str());
+        // The runner reads a per-job timeout_s: check its type up front.
+        (void)json::field(job.spec, "timeout_s", c.timeout_s);
         // Validate scenario jobs now so a typo fails fast, campaign-wide.
         if (job.type == "scenario")
             (void)harness::parseScenarioSpec(job.spec);

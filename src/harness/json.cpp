@@ -1,5 +1,6 @@
 #include "harness/json.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cerrno>
 #include <charconv>
@@ -63,6 +64,14 @@ Value::getString(const std::string &key, const std::string &def) const
 {
     const Value *v = get(key);
     return v && v->isString() ? v->asString() : def;
+}
+
+void
+requireKnownKeys(const Value &obj, std::initializer_list<std::string_view> known)
+{
+    for (const auto &[key, v] : obj.asObject())
+        MAPLE_CHECK(std::find(known.begin(), known.end(), key) != known.end(),
+                    JsonError, "unknown key \"%s\"", key.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -15,8 +15,12 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
+#include <limits>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -103,6 +107,42 @@ class Value {
                  Array, Object>
         v_;
 };
+
+/**
+ * Strict member lookup for spec parsing: @p def when @p key is absent, else
+ * the member as T. A string must be a string, a double a number, and an
+ * unsigned integer a non-negative integer that fits T. Anything else throws
+ * JsonError naming the key.
+ */
+template <class T>
+T
+field(const Value &obj, const std::string &key, T def)
+{
+    const Value *v = obj.get(key);
+    if (!v)
+        return def;
+    if constexpr (std::is_same_v<T, std::string>) {
+        MAPLE_CHECK(v->isString(), JsonError, "\"%s\" must be a string",
+                    key.c_str());
+        return v->asString();
+    } else if constexpr (std::is_floating_point_v<T>) {
+        MAPLE_CHECK(v->isNumber(), JsonError, "\"%s\" must be a number",
+                    key.c_str());
+        return v->asDouble();
+    } else {
+        static_assert(std::is_unsigned_v<T>);
+        constexpr auto kMax = std::numeric_limits<T>::max();
+        MAPLE_CHECK(v->isInt() && v->asInt() >= 0 &&
+                        static_cast<std::uint64_t>(v->asInt()) <= kMax,
+                    JsonError, "\"%s\" must be an integer in [0, %llu]",
+                    key.c_str(), static_cast<unsigned long long>(kMax));
+        return static_cast<T>(v->asInt());
+    }
+}
+
+/** Throws JsonError naming the first member of @p obj not in @p known. */
+void requireKnownKeys(const Value &obj,
+                      std::initializer_list<std::string_view> known);
 
 /** Parse a complete JSON document; throws JsonError with position info. */
 Value parse(const std::string &text);

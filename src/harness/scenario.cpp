@@ -178,39 +178,41 @@ parseScenarioSpec(const json::Value &job)
 {
     MAPLE_CHECK(job.isObject(), json::JsonError,
                 "scenario job is not an object");
+    json::requireKnownKeys(job, {"scenario", "rows", "nnz_per_row", "cols",
+                                 "seed", "warm_rows", "technique",
+                                 "queue_entries", "ecc", "soc", "type", "name",
+                                 "timeout_s"});
     ScenarioSpec s;
-    s.scenario = job.getString("scenario", s.scenario);
+    s.scenario = json::field(job, "scenario", s.scenario);
     MAPLE_CHECK(s.scenario == "spmv", json::JsonError,
                 "unknown scenario \"%s\"", s.scenario.c_str());
-    s.rows = static_cast<std::uint32_t>(job.getInt("rows", s.rows));
-    s.nnz_per_row =
-        static_cast<std::uint32_t>(job.getInt("nnz_per_row", s.nnz_per_row));
-    s.cols = static_cast<std::uint32_t>(job.getInt("cols", s.cols));
-    s.seed = static_cast<std::uint64_t>(job.getInt("seed", 1));
-    s.warm_rows = static_cast<std::uint32_t>(
-        job.getInt("warm_rows", std::min<std::int64_t>(s.rows, s.warm_rows)));
-    s.technique = job.getString("technique", s.technique);
+    s.rows = json::field(job, "rows", s.rows);
+    s.nnz_per_row = json::field(job, "nnz_per_row", s.nnz_per_row);
+    s.cols = json::field(job, "cols", s.cols);
+    s.seed = json::field(job, "seed", s.seed);
+    s.warm_rows = json::field(job, "warm_rows", std::min(s.rows, s.warm_rows));
+    s.technique = json::field(job, "technique", s.technique);
     MAPLE_CHECK(s.technique == "doall" || s.technique == "maple",
                 json::JsonError, "unknown technique \"%s\"",
                 s.technique.c_str());
-    s.queue_entries = static_cast<unsigned>(
-        job.getInt("queue_entries", s.queue_entries));
-    s.ecc = job.getString("ecc", s.ecc);
+    s.queue_entries = json::field(job, "queue_entries", s.queue_entries);
+    s.ecc = json::field(job, "ecc", s.ecc);
     MAPLE_CHECK(s.ecc == "off" || s.ecc == "secded", json::JsonError,
                 "unknown ecc mode \"%s\" (want off|secded)", s.ecc.c_str());
     if (const json::Value *soc = job.get("soc")) {
-        s.soc_preset = soc->getString("preset", s.soc_preset);
+        MAPLE_CHECK(soc->isObject(), json::JsonError,
+                    "\"soc\" must be an object");
+        json::requireKnownKeys(*soc, {"preset", "cores", "coherence", "llc_slices"});
+        s.soc_preset = json::field(*soc, "preset", s.soc_preset);
         MAPLE_CHECK(s.soc_preset == "fpga" || s.soc_preset == "simulated",
                     json::JsonError, "unknown soc preset \"%s\"",
                     s.soc_preset.c_str());
-        s.num_cores =
-            static_cast<unsigned>(soc->getInt("cores", s.num_cores));
-        s.coherence = soc->getString("coherence", s.coherence);
+        s.num_cores = json::field(*soc, "cores", s.num_cores);
+        s.coherence = json::field(*soc, "coherence", s.coherence);
         MAPLE_CHECK(mem::parseCoherenceMode(s.coherence).has_value(),
                     json::JsonError, "unknown coherence mode \"%s\"",
                     s.coherence.c_str());
-        s.llc_slices = static_cast<unsigned>(
-            soc->getInt("llc_slices", s.llc_slices));
+        s.llc_slices = json::field(*soc, "llc_slices", s.llc_slices);
         MAPLE_CHECK(s.llc_slices >= 1, json::JsonError,
                     "llc_slices must be >= 1");
     }

@@ -225,6 +225,42 @@ TEST(CampaignSpec, RejectsBadScenarioAndDuplicates)
                  json::JsonError);
 }
 
+TEST(CampaignSpec, MalformedFieldsAreTypedErrors)
+{
+    // Each was once accepted: a wrong type fell back to the default, a
+    // number was truncated or wrapped, a typo was ignored. Negative cores
+    // wrapped to 4294967294 and the warm-up died of bad_alloc.
+    const struct {
+        const char *key;
+        const char *doc;
+    } bad[] = {
+        {"rows", R"({"base": {"rows": "64"}})"},
+        {"cores", R"({"base": {"soc": {"cores": "4"}}})"},
+        {"ecc", R"({"base": {"ecc": true}})"},
+        {"workers", R"({"workers": "3", "base": {}})"},
+        {"rows", R"({"base": {"rows": 100.9}})"},
+        {"runs", R"({"runs": 2.9, "base": {}})"},
+        {"rows", R"({"base": {"rows": 4294967297}})"},
+        {"queue_entries", R"({"base": {"queue_entries": -1}})"},
+        {"seed", R"({"base": {"seed": -1}})"},
+        {"workers", R"({"workers": -1, "base": {}})"},
+        {"retry_budget", R"({"retry_budget": -1, "base": {}})"},
+        {"queue_entires", R"({"base": {"queue_entires": 8}})"},
+        {"cores", R"({"base": {"soc": {"cores": -2}}})"},
+    };
+    for (const auto &b : bad) {
+        SCOPED_TRACE(b.doc);
+        try {
+            campaign::parseCampaignSpec(json::parse(b.doc));
+            ADD_FAILURE() << "accepted";
+        } catch (const json::JsonError &e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("\"") + b.key + "\""),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Result cache
 // ---------------------------------------------------------------------------

@@ -151,13 +151,15 @@ Spmm::run(const RunConfig &cfg)
         return doallWorker(c, s, chunkOf(s.dim, t, n), 0);
     };
     k.sw_prefetch = [&](cpu::Core &c) {
-        return doallWorker(c, s, Chunk{0, s.dim}, std::max(2u, cfg.prefetch_distance / 2));
+        return doallWorker(c, s, Chunk{0, s.dim},
+                           std::max(2u, cfg.prefetch_distance / 2));
     };
     k.lima = [&](cpu::Core &c, core::MapleApi &api) { return limaWorker(c, s, api); };
     k.lima_opens_queue = false;
     // Index chain A.col -> W.row_ptr: prefetch the W row bounds.
     k.droplet = [&] {
-        return DropletRegion{s.a.col_idx.addr(0), s.a.col_idx.size(), s.w.row_ptr.addr(0)};
+        return DropletRegion{s.a.col_idx.addr(0), s.a.col_idx.size(),
+                             s.w.row_ptr.addr(0)};
     };
     k.check = [&](RunResult &r) { checkBitwise(s.y.download(), golden_, r); };
     return runTechnique(name(), cfg, k);

@@ -60,10 +60,6 @@ class SnapshotError::BadChecksum : public SnapshotError {
     using SnapshotError::SnapshotError;
 };
 
-/** FNV-1a (sim/fnv.hpp), behind the Sink/Source running checksums. */
-using sim::kFnvOffset;
-using sim::kFnvPrime;
-
 /** An integral or enum field, sent as an unsigned integer of a named width. */
 template <class T>
 concept Scalar = std::is_integral_v<T> || std::is_enum_v<T>;
@@ -189,7 +185,7 @@ class Sink {
     void mix(std::uint8_t v) { sim::fnvMix(hash_, v, 1); }
 
     std::ostream &os_;
-    std::uint64_t hash_ = kFnvOffset;
+    std::uint64_t hash_ = sim::kFnvOffset;
 };
 
 /**
@@ -403,7 +399,7 @@ class Source {
     void mix(std::uint8_t v) { sim::fnvMix(hash_, v, 1); }
 
     std::istream &is_;
-    std::uint64_t hash_ = kFnvOffset;
+    std::uint64_t hash_ = sim::kFnvOffset;
     std::uint64_t pos_ = 0;
     static constexpr std::uint64_t kNoEnd = ~std::uint64_t{0};
     /** End of the current section's payload (pos() units). */

@@ -34,7 +34,7 @@ configHash(const soc::SocConfig &raw)
     soc::SocConfig cfg = raw;
     soc::resolveConfig(cfg);
 
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = sim::kFnvOffset;
     fnvMix(h, cfg.num_cores);
     fnvMix(h, cfg.num_maples);
     fnvMix(h, cfg.mesh_width);

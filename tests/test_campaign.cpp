@@ -230,10 +230,7 @@ TEST(CampaignSpec, MalformedFieldsAreTypedErrors)
     // Each was once accepted: a wrong type fell back to the default, a
     // number was truncated or wrapped, a typo was ignored. Negative cores
     // wrapped to 4294967294 and the warm-up died of bad_alloc.
-    const struct {
-        const char *key;
-        const char *doc;
-    } bad[] = {
+    const std::pair<const char *, const char *> bad[] = {
         {"rows", R"({"base": {"rows": "64"}})"},
         {"cores", R"({"base": {"soc": {"cores": "4"}}})"},
         {"ecc", R"({"base": {"ecc": true}})"},
@@ -248,13 +245,13 @@ TEST(CampaignSpec, MalformedFieldsAreTypedErrors)
         {"queue_entires", R"({"base": {"queue_entires": 8}})"},
         {"cores", R"({"base": {"soc": {"cores": -2}}})"},
     };
-    for (const auto &b : bad) {
-        SCOPED_TRACE(b.doc);
+    for (const auto &[key, doc] : bad) {
+        SCOPED_TRACE(doc);
         try {
-            campaign::parseCampaignSpec(json::parse(b.doc));
+            campaign::parseCampaignSpec(json::parse(doc));
             ADD_FAILURE() << "accepted";
         } catch (const json::JsonError &e) {
-            EXPECT_NE(std::string(e.what()).find(std::string("\"") + b.key + "\""),
+            EXPECT_NE(std::string(e.what()).find(std::string("\"") + key + "\""),
                       std::string::npos)
                 << e.what();
         }

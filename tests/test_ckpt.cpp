@@ -22,6 +22,7 @@
 #include "mem/coherence.hpp"
 #include "mem/resil.hpp"
 #include "sim/coro.hpp"
+#include "sim/fnv.hpp"
 #include "sim/random.hpp"
 #include "sim/stats.hpp"
 #include "soc/soc.hpp"
@@ -569,17 +570,6 @@ TEST(Ckpt, TraceRoundTripsThroughSnapshot)
 // checker, resilience with fault streams, and non-fifo arbiters.
 // ---------------------------------------------------------------------------
 
-std::uint64_t
-fnv1a64(const std::string &bytes)
-{
-    std::uint64_t h = ckpt::kFnvOffset;
-    for (unsigned char c : bytes) {
-        h ^= c;
-        h *= ckpt::kFnvPrime;
-    }
-    return h;
-}
-
 /** Snapshot taken after the warm and measure phases of a maple scenario. */
 std::string
 scenarioImage(const soc::SocConfig &cfg, std::uint32_t rows)
@@ -622,8 +612,8 @@ TEST(Ckpt, SnapshotImagesArePinned)
         SCOPED_TRACE(r.name);
         const std::string image = scenarioImage(r.cfg, 256);
         EXPECT_EQ(image.size(), r.bytes);
-        EXPECT_EQ(fnv1a64(image), r.fnv)
-            << std::hex << "image hashes to 0x" << fnv1a64(image);
+        EXPECT_EQ(sim::fnv1a(image), r.fnv)
+            << std::hex << "image hashes to 0x" << sim::fnv1a(image);
 
         soc::Soc again(r.cfg);
         std::istringstream is(image);

@@ -698,8 +698,8 @@ Maple::consume(unsigned q, bool pair)
     bumpCounter(Counter::Consumed, needed);
     consume_status_[q] = queue_status_[q] =
         static_cast<std::uint8_t>(MapleStatus::Ok);
-    stats_.average("occupancy_at_consume").sample(queue.occupancy());
-    stats_.histogram("consume_occupancy").sample(queue.occupancy());
+    occupancy_at_consume_.sample(queue.occupancy());
+    consume_occupancy_.sample(queue.occupancy());
     if (params_.shared_pipeline_hazard)
         releasePipeHead();
     co_return value;
@@ -736,8 +736,8 @@ Maple::consumePoll(unsigned q)
     bumpCounter(Counter::Consumed);
     consume_status_[q] = queue_status_[q] =
         static_cast<std::uint8_t>(MapleStatus::Ok);
-    stats_.average("occupancy_at_consume").sample(queue.occupancy());
-    stats_.histogram("consume_occupancy").sample(queue.occupancy());
+    occupancy_at_consume_.sample(queue.occupancy());
+    consume_occupancy_.sample(queue.occupancy());
     co_return value;
 }
 

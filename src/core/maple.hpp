@@ -243,6 +243,11 @@ class Maple : public soc::MmioDevice {
     MapleWiring w_;
     mem::Mmu mmu_;
     sim::StatGroup stats_;
+    /// @name Per-consume stats of stats_, resolved once
+    /// @{
+    sim::AverageHandle occupancy_at_consume_{stats_, "occupancy_at_consume"};
+    sim::HistogramHandle consume_occupancy_{stats_, "consume_occupancy", 1.0, 64};
+    /// @}
 
     std::vector<MapleQueue> queues_;
     std::vector<unsigned> queue_generation_;

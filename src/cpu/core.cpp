@@ -25,19 +25,6 @@ Core::tracer()
     return t;
 }
 
-sim::Task<void>
-Core::issue(std::uint64_t insts)
-{
-    n_instructions_.inc(insts);
-    co_await sim::delay(eq_, params_.issue_cycles * insts);
-}
-
-sim::Task<void>
-Core::compute(std::uint64_t insts)
-{
-    co_await issue(insts);
-}
-
 sim::Task<std::uint64_t>
 Core::load(sim::Addr vaddr, unsigned size)
 {

@@ -79,8 +79,12 @@ class Core {
     /** Wait until the store buffer has fully drained (fence semantics). */
     sim::Task<void> storeFence();
 
-    /** Execute @p insts ALU instructions (charges issue cycles). */
-    sim::Task<void> compute(std::uint64_t insts = 1);
+    /**
+     * Execute @p insts ALU instructions (charges issue cycles). The
+     * instructions count at the call: co_await the Delay in the same
+     * expression (sim::Delay).
+     */
+    sim::Delay compute(std::uint64_t insts = 1) { return issue(insts); }
 
     /** Software prefetch instruction: translate and fill L1, non-blocking. */
     sim::Task<void> prefetchL1(sim::Addr vaddr);
@@ -149,7 +153,15 @@ class Core {
     sim::Task<void> mmioStore(const soc::AddressMap::Window &w, sim::Addr paddr,
                               std::uint64_t value, unsigned size);
     sim::Task<void> drainStore(sim::Addr paddr, std::uint64_t value, unsigned size);
-    sim::Task<void> issue(std::uint64_t insts = 1);
+
+    /** Count @p insts instructions at the call and return their issue
+     *  cycles; co_await the Delay in the same expression (sim::Delay). */
+    sim::Delay
+    issue(std::uint64_t insts = 1)
+    {
+        n_instructions_.inc(insts);
+        return sim::delay(eq_, params_.issue_cycles * insts);
+    }
 
     /**
      * Active tracer or nullptr; lazily creates the core's fixed track. The

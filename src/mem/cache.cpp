@@ -225,12 +225,25 @@ Cache::request(MemRequest req)
     MAPLE_ASSERT(req.size > 0);
     sim::Addr first = lineBase(req.paddr);
     sim::Addr last = lineBase(req.paddr + req.size - 1);
-    for (sim::Addr line = first; line <= last; line += kLineSize) {
-        if (fabric_)
-            co_await accessLineCoherent(req, line);
-        else
-            co_await accessLine(req, line);
-    }
+    // A one-line request is that line's Task itself: no wrapper frame.
+    if (first == last)
+        return access(req, first);
+    return accessLines(req, first, last);
+}
+
+sim::Task<void>
+Cache::access(MemRequest req, sim::Addr line)
+{
+    if (fabric_)
+        return accessLineCoherent(req, line);
+    return accessLine(req, line);
+}
+
+sim::Task<void>
+Cache::accessLines(MemRequest req, sim::Addr first, sim::Addr last)
+{
+    for (sim::Addr line = first; line <= last; line += kLineSize)
+        co_await access(req, line);
 }
 
 sim::Task<void>

@@ -186,6 +186,13 @@ class Cache : public Port, public CoherentCache {
         MsiState coh = MsiState::I;  ///< stable MSI state (coherent mode)
     };
 
+    /** One access covering a single cache line, in this cache's
+     *  personality: accessLineCoherent on a fabric, else accessLine. */
+    sim::Task<void> access(MemRequest req, sim::Addr line);
+
+    /** request() spanning several lines: one access per line, in order. */
+    sim::Task<void> accessLines(MemRequest req, sim::Addr first, sim::Addr last);
+
     /** One access covering a single cache line (legacy personality). */
     sim::Task<void> accessLine(MemRequest req, sim::Addr line);
 

@@ -59,21 +59,31 @@ Arbiter::occupancy(std::uint32_t size) const
     return 1 + (size + flit_bytes_ - 1) / flit_bytes_;
 }
 
-sim::Task<void>
+sim::Soon<void>
 Arbiter::admit(const MemRequest &req)
 {
-    // Copy before any suspension: the reference is only guaranteed for the
-    // synchronous prefix of this coroutine.
     unsigned c = static_cast<unsigned>(req.cls);
     unsigned occ = occupancy(req.size);
     if (eq_.now() >= next_free_ && waiting_count_ == 0) {
         // Uncontended: grant in place, occupying the port for our flits.
-        next_free_ = eq_.now() + occ;
-        ++grants_[c];
-        ++total_grants_;
-        rr_next_ = (c + 1) % kNumRequesterClasses;
-        co_return;
+        grant(c, occ);
+        return {};
     }
+    return waitForGrant(c, occ);
+}
+
+void
+Arbiter::grant(unsigned c, unsigned occ)
+{
+    next_free_ = eq_.now() + occ;
+    ++grants_[c];
+    ++total_grants_;
+    rr_next_ = (c + 1) % kNumRequesterClasses;
+}
+
+sim::Task<void>
+Arbiter::waitForGrant(unsigned c, unsigned occ)
+{
     sim::Cycle enq = eq_.now();
     waiting_[c].push_back(Waiter{sim::Signal{}, occ});
     sim::Signal sig = waiting_[c].back().sig;
@@ -125,10 +135,7 @@ Arbiter::pump()
         Waiter w = std::move(waiting_[c].front());
         waiting_[c].pop_front();
         --waiting_count_;
-        next_free_ = eq_.now() + w.occ;
-        ++grants_[c];
-        ++total_grants_;
-        rr_next_ = (c + 1) % kNumRequesterClasses;
+        grant(c, w.occ);
         w.sig.set({});
     }
     pump_running_ = false;

@@ -54,8 +54,13 @@ class Arbiter {
     Arbiter(sim::EventQueue &eq, std::string name, ArbPolicy policy,
             unsigned flit_bytes = 16);
 
-    /** Completes when the request is granted an issue slot. */
-    sim::Task<void> admit(const MemRequest &req);
+    /**
+     * Completes when the request is granted an issue slot. An uncontended
+     * request is granted at the call and is ready; a contended one gets the
+     * Task that queues it. co_await the result in the same expression
+     * (sim::Soon).
+     */
+    sim::Soon<void> admit(const MemRequest &req);
 
     ArbPolicy policy() const { return policy_; }
     std::uint64_t grants(RequesterClass c) const
@@ -93,6 +98,12 @@ class Arbiter {
 
     /** Index of the next class to serve, or kNumRequesterClasses if none. */
     unsigned pick();
+
+    /** Hands the port to class @p c for @p occ cycles from now. */
+    void grant(unsigned c, unsigned occ);
+
+    /** Queues a class @p c request behind the busy port until granted. */
+    sim::Task<void> waitForGrant(unsigned c, unsigned occ);
 
     /** Drains the waiter queues, one grant per freed port slot. */
     sim::Task<void> pump();

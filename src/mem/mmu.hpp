@@ -62,30 +62,16 @@ class Mmu {
     /**
      * Translate @p vaddr, charging TLB/walk/fault latency as appropriate.
      * Returns fault=true only if the fault handler failed (or none is set).
+     * A TLB hit with the right permissions is decided at the call and is
+     * ready; anything else is the walk's Task. co_await the result in the
+     * same expression (sim::Soon).
      */
-    sim::Task<Translation>
+    sim::Soon<Translation>
     translate(sim::Addr vaddr, bool write)
     {
-        for (int attempt = 0; attempt < 2; ++attempt) {
-            if (auto pte = tlb_.lookup(vaddr)) {
-                if (pte->readable() && (!write || pte->writable()))
-                    co_return Translation{false, pte->paddrBase() | pageOffset(vaddr)};
-                tlb_.invalidate(vaddr);  // stale permissions: rewalk
-            }
-            auto walked = co_await walk(vaddr);
-            if (walked && walked->readable() && (!write || walked->writable())) {
-                tlb_.insert(vaddr, *walked);
-                co_return Translation{
-                    false, walked->paddrBase() | pageOffset(vaddr)};
-            }
-            faults_.inc();
-            if (attempt == 1 || !fault_handler_)
-                break;
-            bool resolved = co_await fault_handler_(vaddr, write);
-            if (!resolved)
-                break;
-        }
-        co_return Translation{true, sim::kBadAddr};
+        if (auto hit = tlbHit(vaddr, write))
+            return *hit;
+        return walkAndTranslate(vaddr, write);
     }
 
     /** TLB shootdown for one page (called by the OS on unmap/remap). */
@@ -114,6 +100,50 @@ class Mmu {
     }
 
   private:
+    /**
+     * The TLB's translation of @p vaddr when it grants the access; a hit
+     * with stale permissions is dropped so the walk reloads it.
+     */
+    std::optional<Translation>
+    tlbHit(sim::Addr vaddr, bool write)
+    {
+        auto pte = tlb_.lookup(vaddr);
+        if (!pte)
+            return std::nullopt;
+        if (pte->readable() && (!write || pte->writable()))
+            return Translation{false, pte->paddrBase() | pageOffset(vaddr)};
+        tlb_.invalidate(vaddr);  // stale permissions: rewalk
+        return std::nullopt;
+    }
+
+    /**
+     * translate() past a failed TLB lookup: walk, and on a fault let the
+     * handler resolve it and retry once from the TLB.
+     */
+    sim::Task<Translation>
+    walkAndTranslate(sim::Addr vaddr, bool write)
+    {
+        for (int attempt = 0; attempt < 2; ++attempt) {
+            if (attempt > 0) {
+                if (auto hit = tlbHit(vaddr, write))
+                    co_return *hit;
+            }
+            auto walked = co_await walk(vaddr);
+            if (walked && walked->readable() && (!write || walked->writable())) {
+                tlb_.insert(vaddr, *walked);
+                co_return Translation{
+                    false, walked->paddrBase() | pageOffset(vaddr)};
+            }
+            faults_.inc();
+            if (attempt == 1 || !fault_handler_)
+                break;
+            bool resolved = co_await fault_handler_(vaddr, write);
+            if (!resolved)
+                break;
+        }
+        co_return Translation{true, sim::kBadAddr};
+    }
+
     /** Timed three-level walk; nullopt when any level is invalid. */
     sim::Task<std::optional<Pte>>
     walk(sim::Addr vaddr)

@@ -7,11 +7,10 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <iterator>
-#include <list>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "mem/page_table.hpp"
 #include "sim/stats.hpp"
@@ -24,20 +23,20 @@ class Tlb {
     explicit Tlb(size_t entries = 16) : capacity_(entries)
     {
         MAPLE_ASSERT(entries > 0);
+        entries_.reserve(capacity_);
     }
 
     /** Look up the leaf PTE for @p vaddr's page; updates LRU on hit. */
     std::optional<Pte>
     lookup(sim::Addr vaddr)
     {
-        auto it = map_.find(vpnOf(vaddr));
-        if (it == map_.end()) {
+        auto it = find(vpnOf(vaddr));
+        if (it == entries_.end()) {
             misses_.inc();
             return std::nullopt;
         }
         hits_.inc();
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return it->second->pte;
+        return touch(it).pte;
     }
 
     /** Install a translation, evicting the LRU entry when full. */
@@ -45,30 +44,26 @@ class Tlb {
     insert(sim::Addr vaddr, Pte pte)
     {
         sim::Addr vpn = vpnOf(vaddr);
-        auto it = map_.find(vpn);
-        if (it != map_.end()) {
-            it->second->pte = pte;
-            lru_.splice(lru_.begin(), lru_, it->second);
+        auto it = find(vpn);
+        if (it != entries_.end()) {
+            touch(it).pte = pte;
             return;
         }
-        if (map_.size() >= capacity_) {
-            map_.erase(lru_.back().vpn);
-            lru_.pop_back();
+        if (entries_.size() >= capacity_) {
+            entries_.pop_back();
             evictions_.inc();
         }
-        lru_.push_front(Entry{vpn, pte});
-        map_[vpn] = lru_.begin();
+        entries_.insert(entries_.begin(), Entry{vpn, pte});
     }
 
     /** Drop the entry covering @p vaddr (TLB shootdown for one page). */
     void
     invalidate(sim::Addr vaddr)
     {
-        auto it = map_.find(vpnOf(vaddr));
-        if (it == map_.end())
+        auto it = find(vpnOf(vaddr));
+        if (it == entries_.end())
             return;
-        lru_.erase(it->second);
-        map_.erase(it);
+        entries_.erase(it);
         shootdowns_.inc();
     }
 
@@ -76,12 +71,11 @@ class Tlb {
     void
     flush()
     {
-        map_.clear();
-        lru_.clear();
+        entries_.clear();
         shootdowns_.inc();
     }
 
-    size_t size() const { return map_.size(); }
+    size_t size() const { return entries_.size(); }
     size_t capacity() const { return capacity_; }
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
@@ -92,15 +86,10 @@ class Tlb {
     state(Ar &ar)
     {
         ar.u64(capacity_);
-        ar.seq(lru_, [&ar](Entry &e) {
+        ar.seq(entries_, [&ar](Entry &e) {
             ar.u64(e.vpn);
             ar.u64(e.pte.raw);
         });
-        if constexpr (Ar::kLoading) {
-            map_.clear();
-            for (auto it = lru_.begin(); it != lru_.end(); ++it)
-                map_[it->vpn] = it;
-        }
         hits_.state(ar);
         misses_.state(ar);
         evictions_.state(ar);
@@ -112,10 +101,27 @@ class Tlb {
         sim::Addr vpn;
         Pte pte;
     };
+    using Iter = std::vector<Entry>::iterator;
+
+    Iter
+    find(sim::Addr vpn)
+    {
+        return std::find_if(entries_.begin(), entries_.end(),
+                            [vpn](const Entry &e) { return e.vpn == vpn; });
+    }
+
+    /** Move @p it to the front (most recent) and return the entry. */
+    Entry &
+    touch(Iter it)
+    {
+        std::rotate(entries_.begin(), it, it + 1);
+        return entries_.front();
+    }
 
     size_t capacity_;
-    std::list<Entry> lru_;  // front = most recent
-    std::unordered_map<sim::Addr, std::list<Entry>::iterator> map_;
+    // At most capacity_ (16 by default) entries, so a linear find beats
+    // hashing. Front = most recent.
+    std::vector<Entry> entries_;
     sim::Counter hits_, misses_, evictions_, shootdowns_;
 };
 

@@ -73,9 +73,11 @@ class Mesh {
     /**
      * Move a packet of @p flits flits from @p src to @p dst on behalf of
      * requester class @p cls (attribution + class-keyed fault injection).
-     * Completes when the head flit is ejected at the destination.
+     * The XY route is reserved at the call; the returned Delay lasts until
+     * the head flit is ejected at the destination, so co_await it in the
+     * same expression (sim::Delay).
      */
-    sim::Task<void>
+    sim::Delay
     transit(sim::TileId src, sim::TileId dst, unsigned flits,
             mem::RequesterClass cls = mem::RequesterClass::Core)
     {
@@ -123,8 +125,7 @@ class Mesh {
             if (trace::TraceManager *tr = trace::active(eq_))
                 tr->attributeStall(trace::StallCause::NocBackpressure, queued);
         }
-        if (t > start)
-            co_await sim::delay(eq_, t - start);
+        return sim::delay(eq_, t - start);
     }
 
     const MeshParams &params() const { return params_; }

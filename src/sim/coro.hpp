@@ -9,7 +9,8 @@
  *
  *  - Task<T>:   lazily-started coroutine, awaitable, symmetric transfer.
  *  - Future<T>: externally-fulfilled completion (one waiter).
- *  - delay():   awaitable that costs simulated cycles.
+ *  - delay():   awaitable that costs simulated cycles (a Delay).
+ *  - Soon<T>:   a step's value computed at the call, or its slow-path Task.
  *  - spawn():   runs a Task<> to completion as a root, returns a Join.
  *
  * Every coroutine frame comes from detail::FramePool, so the nested tasks
@@ -36,6 +37,9 @@ namespace maple::sim {
 
 template <typename T = void>
 class Task;
+
+template <typename T = void>
+class Soon;
 
 namespace detail {
 
@@ -233,30 +237,30 @@ class [[nodiscard]] Task {
     bool done() const { return handle_ && handle_.done(); }
 
     /** Awaiter: starts the child task, resumes awaiter at completion. */
-    auto
-    operator co_await() &&
-    {
-        struct Awaiter {
-            std::coroutine_handle<promise_type> h;
+    struct Awaiter {
+        std::coroutine_handle<promise_type> h;
 
-            bool await_ready() const noexcept { return !h || h.done(); }
+        bool await_ready() const noexcept { return !h || h.done(); }
 
-            std::coroutine_handle<>
-            await_suspend(std::coroutine_handle<> cont) const noexcept
-            {
-                h.promise().continuation = cont;
-                return h;
-            }
+        std::coroutine_handle<>
+        await_suspend(std::coroutine_handle<> cont) const noexcept
+        {
+            h.promise().continuation = cont;
+            return h;
+        }
 
-            T await_resume() const { return h.promise().result(); }
-        };
-        return Awaiter{handle_};
-    }
+        T await_resume() const { return h.promise().result(); }
+    };
+
+    Awaiter operator co_await() && { return Awaiter{handle_}; }
 
     /** Release ownership (used by spawn()). */
     std::coroutine_handle<promise_type> release() { return std::exchange(handle_, nullptr); }
 
   private:
+    template <typename>
+    friend class Soon;
+
     void
     destroy()
     {
@@ -378,29 +382,104 @@ spawnDetached(EventQueue &eq, Task<void> task)
 }
 
 /**
- * Awaitable that suspends the coroutine for @p cycles simulated cycles.
- * Rides the EventQueue's pooled coroutine-resume path: suspending allocates
- * nothing, so delay() is free to sit on every hop of every hot loop.
+ * Awaitable that suspends the awaiting coroutine for @p cycles simulated
+ * cycles; zero cycles is ready and does not suspend. Rides the EventQueue's
+ * pooled coroutine-resume path: suspending allocates nothing, so a Delay is
+ * free to sit on every hop of every hot loop.
+ *
+ * A step that returns a Delay (Core::compute, Mesh::transit) has done its
+ * work by the time it returns, so its caller must co_await the Delay in the
+ * same expression that calls the step: then no event runs between the work
+ * and the wait, exactly as when the step was a Task started by the await.
  */
-inline auto
+struct [[nodiscard]] Delay {
+    EventQueue &eq;
+    Cycle cycles;
+
+    bool await_ready() const noexcept { return cycles == 0; }
+
+    void
+    await_suspend(std::coroutine_handle<> h) const
+    {
+        eq.scheduleResumeIn(cycles, h);
+    }
+
+    void await_resume() const noexcept {}
+};
+
+inline Delay
 delay(EventQueue &eq, Cycle cycles)
 {
-    struct Awaiter {
-        EventQueue &eq;
-        Cycle cycles;
-
-        bool await_ready() const noexcept { return cycles == 0; }
-
-        void
-        await_suspend(std::coroutine_handle<> h) const
-        {
-            eq.scheduleResumeIn(cycles, h);
-        }
-
-        void await_resume() const noexcept {}
-    };
-    return Awaiter{eq, cycles};
+    return Delay{eq, cycles};
 }
+
+/**
+ * What a step that usually finishes at once returns: either the value it
+ * computed at the call (ready: co_await does not suspend and no frame is
+ * made) or the Task of its slow path, which starts when awaited. A TLB hit
+ * is the value, a walk is the Task (Mmu::translate).
+ *
+ * The fast path does its work at the call, so the caller must co_await the
+ * Soon in the same expression that calls the step: then no event runs
+ * between the work and the await, exactly as when the whole step was one
+ * Task started by the await.
+ */
+template <typename T>
+class [[nodiscard]] Soon {
+  public:
+    Soon(T value) : value_(std::move(value)) {}
+    Soon(Task<T> slow) : slow_(std::move(slow)) {}
+
+    bool await_ready() const noexcept { return value_.has_value(); }
+
+    std::coroutine_handle<>
+    await_suspend(std::coroutine_handle<> cont) const noexcept
+    {
+        return slowAwaiter().await_suspend(cont);
+    }
+
+    T
+    await_resume()
+    {
+        if (value_)
+            return std::move(*value_);
+        return slowAwaiter().await_resume();
+    }
+
+  private:
+    typename Task<T>::Awaiter slowAwaiter() const { return {slow_.handle_}; }
+
+    std::optional<T> value_;
+    Task<T> slow_;
+};
+
+/** Soon<> of a step that yields no value: ready, or its slow-path Task. */
+template <>
+class [[nodiscard]] Soon<void> {
+  public:
+    Soon() = default;
+    Soon(Task<void> slow) : slow_(std::move(slow)) {}
+
+    bool await_ready() const noexcept { return !slow_.valid(); }
+
+    std::coroutine_handle<>
+    await_suspend(std::coroutine_handle<> cont) const noexcept
+    {
+        return slowAwaiter().await_suspend(cont);
+    }
+
+    void
+    await_resume() const
+    {
+        if (slow_.valid())
+            slowAwaiter().await_resume();
+    }
+
+  private:
+    Task<void>::Awaiter slowAwaiter() const { return {slow_.handle_}; }
+
+    Task<void> slow_;
+};
 
 /**
  * One-shot, externally-fulfilled completion carrying a copyable value of

@@ -273,6 +273,27 @@ class HistogramHandle {
     Histogram *hist_ = nullptr;
 };
 
+/** CounterHandle's counterpart for an average, bound on first sample(). */
+class AverageHandle {
+  public:
+    AverageHandle(StatGroup &group, const char *name) : group_(group), name_(name) {}
+    AverageHandle(const AverageHandle &) = delete;
+    AverageHandle &operator=(const AverageHandle &) = delete;
+
+    void
+    sample(double v)
+    {
+        if (!avg_)
+            avg_ = &group_.average(name_);
+        avg_->sample(v);
+    }
+
+  private:
+    StatGroup &group_;
+    const char *name_;
+    Average *avg_ = nullptr;
+};
+
 /** Geometric mean helper used by the figure harness. */
 double geomean(const std::vector<double> &xs);
 

@@ -6,6 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "ckpt/serial.hpp"
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
 #include "mem/mmu.hpp"
@@ -191,6 +194,33 @@ TEST(Tlb, CapacityNeverExceeded)
     for (int i = 0; i < 100; ++i)
         tlb.insert(i * kPageSize, Pte::makeLeaf(i * kPageSize, true));
     EXPECT_EQ(tlb.size(), 16u);
+}
+
+TEST(Tlb, StateRoundTripKeepsLruOrder)
+{
+    auto page = [](int i) { return static_cast<sim::Addr>(i) * kPageSize; };
+    Tlb tlb(4);
+    for (int i = 1; i <= 4; ++i)
+        tlb.insert(page(i), Pte::makeLeaf(page(i), true));
+    // Least to most recent afterwards: 3, 1, 4, 2.
+    for (int i : {3, 1, 4, 2})
+        ASSERT_TRUE(tlb.lookup(page(i)).has_value());
+
+    std::stringstream img;
+    ckpt::Sink out(img);
+    tlb.state(out);
+    Tlb restored(4);
+    ckpt::Source in(img);
+    restored.state(in);
+    ASSERT_EQ(restored.size(), 4u);
+
+    tlb.insert(page(5), Pte::makeLeaf(page(5), true));
+    restored.insert(page(5), Pte::makeLeaf(page(5), true));
+    EXPECT_FALSE(tlb.lookup(page(3)).has_value()) << "LRU page 3 not evicted";
+    EXPECT_FALSE(restored.lookup(page(3)).has_value())
+        << "restored TLB evicted another page than the original";
+    for (int i : {1, 2, 4, 5})
+        EXPECT_TRUE(restored.lookup(page(i)).has_value()) << "page " << i;
 }
 
 // ---------------------------------------------------------------------------

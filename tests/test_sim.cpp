@@ -496,6 +496,84 @@ TEST(Coro, ZeroDelayDoesNotSuspend)
 
 namespace {
 
+Soon<int>
+soonValue(int v)
+{
+    return v;
+}
+
+Task<int>
+slowValue(EventQueue &eq, int v)
+{
+    co_await delay(eq, 5);
+    co_return v;
+}
+
+Task<int>
+slowThrow(EventQueue &eq)
+{
+    co_await delay(eq, 5);
+    throw std::runtime_error("slow path failed");
+}
+
+}  // namespace
+
+TEST(Soon, ReadyValueDoesNotSuspend)
+{
+    EventQueue eq;
+    eq.schedule(3, [] {});
+    eq.run(1);
+    const auto pending = eq.pending();
+    const auto executed = eq.executed();
+    const Cycle now = eq.now();
+    int got = 0;
+    auto t = [&]() -> Task<void> { got = co_await soonValue(42); };
+    Join j = spawn(t());
+    // Finished at spawn: nothing was scheduled and time did not move.
+    ASSERT_TRUE(j.done());
+    j.get();
+    EXPECT_EQ(got, 42);
+    EXPECT_EQ(eq.pending(), pending);
+    EXPECT_EQ(eq.executed(), executed);
+    EXPECT_EQ(eq.now(), now);
+}
+
+TEST(Soon, SlowPathReturnsTheTaskValue)
+{
+    EventQueue eq;
+    int got = 0;
+    auto t = [&]() -> Task<void> {
+        got = co_await Soon<int>(slowValue(eq, 7));
+    };
+    Join j = spawn(t());
+    EXPECT_FALSE(j.done());
+    eq.run();
+    ASSERT_TRUE(j.done());
+    j.get();
+    EXPECT_EQ(got, 7);
+    EXPECT_EQ(eq.now(), 5u);
+}
+
+TEST(Soon, SlowPathExceptionReachesTheAwaiter)
+{
+    EventQueue eq;
+    bool caught = false;
+    auto t = [&]() -> Task<void> {
+        try {
+            co_await Soon<int>(slowThrow(eq));
+        } catch (const std::runtime_error &) {
+            caught = true;
+        }
+    };
+    Join j = spawn(t());
+    eq.run();
+    j.get();
+    EXPECT_TRUE(caught);
+    EXPECT_EQ(eq.now(), 5u);
+}
+
+namespace {
+
 Task<int>
 poolLeaf(EventQueue &eq, int v)
 {
@@ -774,18 +852,22 @@ TEST(Stats, HandlesBindOnFirstUseAndSurviveLoadState)
     CounterHandle hits(g, "hits");
     CounterHandle misses(g, "misses");
     HistogramHandle lat(g, "lat", 4.0, 8);
+    AverageHandle occ(g, "occ");
     // No entry before the first increment: dumps, stats JSON and snapshot
     // images list exactly the counters that were touched.
     EXPECT_TRUE(g.counters().empty());
     EXPECT_TRUE(g.histograms().empty());
+    EXPECT_TRUE(g.averages().empty());
 
     hits.inc();
     hits.inc(4);
     lat.sample(9.0);
+    occ.sample(3.0);
     EXPECT_EQ(g.counters().size(), 1u);
     EXPECT_EQ(g.counterValue("hits"), 5u);
     EXPECT_EQ(g.histogram("lat").total(), 1u);
     EXPECT_EQ(g.histogram("lat").buckets().size(), 8u);
+    EXPECT_EQ(g.averages().size(), 1u);
 
     StatGroup other("grp");
     other.counter("hits").inc(20);
@@ -799,9 +881,12 @@ TEST(Stats, HandlesBindOnFirstUseAndSurviveLoadState)
     hits.inc();    // bound before the restore: same entry, new value
     misses.inc();  // unbound: binds to the entry the restore created
     lat.sample(1.0);
+    occ.sample(5.0);
     EXPECT_EQ(g.counterValue("hits"), 21u);
     EXPECT_EQ(g.counterValue("misses"), 8u);
     EXPECT_EQ(g.histogram("lat").total(), 2u);
+    EXPECT_EQ(g.average("occ").count(), 2u);
+    EXPECT_DOUBLE_EQ(g.average("occ").mean(), 4.0);
 }
 
 TEST(Rng, DeterministicAcrossInstances)

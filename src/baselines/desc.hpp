@@ -108,6 +108,22 @@ class DescQueue {
     }
 
     /**
+     * Serve Compute's stores until Compute has finished (finishCompute) and
+     * its store queue is empty, polling every 20 cycles while it is idle.
+     */
+    sim::Task<void>
+    drainStoresToEnd(cpu::Core &core)
+    {
+        while (!compute_done_ || !storeQueueEmpty()) {
+            // Kept out of the condition: GCC 12.2 miscompiles
+            // `if (!co_await ...)` in this in-class coroutine.
+            bool drained = co_await drainOneStore(core);
+            if (!drained)
+                co_await sim::delay(eq_, 20);
+        }
+    }
+
+    /**
      * Pop one Compute-side store *without* performing it, so the Supply
      * slice can attach extra semantics (e.g. BFS frontier appends).
      */
@@ -148,6 +164,9 @@ class DescQueue {
         store_q_.fillSlot(store_q_.reserveSlot(), vaddr);
         store_q_.fillSlot(store_q_.reserveSlot(), value);
     }
+
+    /** Compute has shipped its last store (ends drainStoresToEnd). */
+    void finishCompute() { compute_done_ = true; }
 
     /// @}
 
@@ -196,6 +215,7 @@ class DescQueue {
     maple::core::MapleQueue store_q_;  ///< Compute -> Supply store queue
     unsigned inflight_ = 0;
     sim::Signal buffer_wait_;
+    bool compute_done_ = false;
 };
 
 }  // namespace maple::baselines

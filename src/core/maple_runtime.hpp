@@ -38,7 +38,9 @@ struct LimaRequest {
  * Software handle to one MAPLE instance mapped into one process.
  * Construct via attach(), which performs the OS work: map the MMIO page,
  * point the device MMU at the process page table, and install the driver's
- * page-fault handler.
+ * page-fault handler. An operation that is one MMIO load or store returns
+ * the core's Task itself, so it adds no coroutine frame (DESIGN.md
+ * section 7).
  */
 class MapleApi {
   public:
@@ -114,35 +116,35 @@ class MapleApi {
     sim::Task<void>
     produce(cpu::Core &core, unsigned q, std::uint64_t data)
     {
-        co_await core.store(encodeStore(base_, q, StoreOp::ProduceData), data);
+        return core.store(encodeStore(base_, q, StoreOp::ProduceData), data);
     }
 
     /** PRODUCE_PTR: push a pointer for MAPLE to fetch asynchronously. */
     sim::Task<void>
     producePtr(cpu::Core &core, unsigned q, sim::Addr ptr)
     {
-        co_await core.store(encodeStore(base_, q, StoreOp::ProducePtr), ptr);
+        return core.store(encodeStore(base_, q, StoreOp::ProducePtr), ptr);
     }
 
     /** CONSUME: pop one entry (blocks until data is available). */
     sim::Task<std::uint64_t>
     consume(cpu::Core &core, unsigned q)
     {
-        co_return co_await core.load(encodeLoad(base_, q, LoadOp::Consume));
+        return core.load(encodeLoad(base_, q, LoadOp::Consume));
     }
 
     /** CONSUME of two 4-byte entries packed into one 8-byte load. */
     sim::Task<std::uint64_t>
     consumePair(cpu::Core &core, unsigned q)
     {
-        co_return co_await core.load(encodeLoad(base_, q, LoadOp::ConsumePair));
+        return core.load(encodeLoad(base_, q, LoadOp::ConsumePair));
     }
 
     /** PREFETCH: speculative prefetch of @p ptr into the LLC. */
     sim::Task<void>
     prefetch(cpu::Core &core, sim::Addr ptr)
     {
-        co_await core.store(encodeStore(base_, 0, StoreOp::PrefetchPtr), ptr);
+        return core.store(encodeStore(base_, 0, StoreOp::PrefetchPtr), ptr);
     }
 
     /// @name Non-blocking / timed operation (the hardened error paths)
@@ -175,7 +177,7 @@ class MapleApi {
     sim::Task<std::uint64_t>
     consumePoll(cpu::Core &core, unsigned q)
     {
-        co_return co_await core.load(encodeLoad(base_, q, LoadOp::ConsumePoll));
+        return core.load(encodeLoad(base_, q, LoadOp::ConsumePoll));
     }
 
     /**
@@ -238,9 +240,7 @@ class MapleApi {
     sim::Task<std::uint64_t>
     consumeReliable(cpu::Core &core, unsigned q)
     {
-        if (!driver_)
-            co_return co_await consume(core, q);
-        co_return co_await driver_->consume(core, q);
+        return driver_ ? driver_->consume(core, q) : consume(core, q);
     }
 
     /** The recovery driver, or nullptr when recovery is disabled. */
@@ -255,7 +255,7 @@ class MapleApi {
     sim::Task<void>
     setAmoAddend(cpu::Core &core, unsigned q, std::uint64_t addend)
     {
-        co_await core.store(encodeStore(base_, q, StoreOp::AmoAddend), addend);
+        return core.store(encodeStore(base_, q, StoreOp::AmoAddend), addend);
     }
 
     /**
@@ -266,7 +266,7 @@ class MapleApi {
     sim::Task<void>
     produceAmoAdd(cpu::Core &core, unsigned q, sim::Addr ptr)
     {
-        co_await core.store(encodeStore(base_, q, StoreOp::ProduceAmoAdd), ptr);
+        return core.store(encodeStore(base_, q, StoreOp::ProduceAmoAdd), ptr);
     }
 
     /// @}
@@ -304,14 +304,14 @@ class MapleApi {
     {
         unsigned op = static_cast<unsigned>(LoadOp::CounterBase) +
                       static_cast<unsigned>(c);
-        co_return co_await core.load(encodeOp(base_, 0, op));
+        return core.load(encodeOp(base_, 0, op));
     }
 
     /** Debug: queue occupancy. */
     sim::Task<std::uint64_t>
     occupancy(cpu::Core &core, unsigned q)
     {
-        co_return co_await core.load(encodeLoad(base_, q, LoadOp::Occupancy));
+        return core.load(encodeLoad(base_, q, LoadOp::Occupancy));
     }
 
     sim::Task<void>

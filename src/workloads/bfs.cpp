@@ -13,7 +13,6 @@
 #include <optional>
 
 #include "baselines/desc.hpp"
-#include "baselines/sw_queue.hpp"
 #include "sim/sync.hpp"
 #include "workloads/workload.hpp"
 
@@ -64,14 +63,14 @@ advanceLevel(cpu::Core &core, BfsSim &s, LevelState &ls)
 }
 
 /**
- * Process edges of frontier[chunk]; @p fetch_dist supplies the IMA value for
- * dist[v] (doall: plain load; decoupled: consume from a queue), so all
- * variants share the update logic.
+ * Process edges of frontier[chunk]; @p fetch_dist returns the awaitable that
+ * supplies dist[v] (doall: a plain load; execute: the pair queue's take), so
+ * all variants share the update logic.
  */
 template <typename FetchDist>
 sim::Task<void>
 expandChunk(cpu::Core &core, BfsSim &s, LevelState &ls, Chunk chunk,
-            FetchDist &&fetch_dist, unsigned sw_prefetch_dist = 0)
+            FetchDist &fetch_dist, unsigned sw_prefetch_dist)
 {
     for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
         auto u = static_cast<std::uint32_t>(
@@ -89,7 +88,7 @@ expandChunk(cpu::Core &core, BfsSim &s, LevelState &ls, Chunk chunk,
             }
             auto v = static_cast<std::uint32_t>(
                 co_await core.load(s.g.col_idx.addr(j), 4));
-            std::uint32_t dv = co_await fetch_dist(core, j, v);
+            auto dv = static_cast<std::uint32_t>(co_await fetch_dist(core, v));
             co_await core.compute(1);
             if (dv == kInf) {
                 co_await core.store(s.dist.addr(v), ls.level + 1, 4);
@@ -100,35 +99,23 @@ expandChunk(cpu::Core &core, BfsSim &s, LevelState &ls, Chunk chunk,
     }
 }
 
-/** Plain-load dist fetch (doall / droplet / sw-prefetch). */
-struct LoadFetch {
-    BfsSim &s;
-
-    sim::Task<std::uint32_t>
-    operator()(cpu::Core &core, std::uint32_t, std::uint32_t v) const
-    {
-        co_return static_cast<std::uint32_t>(
-            co_await core.load(s.dist.addr(v), 4));
-    }
-};
-
 /**
- * One worker thread of the level-synchronous loop.
+ * One worker thread of the level-synchronous loop: doall's worker @p t of
+ * @p threads, or the execute thread of pair @p t. Worker 0 does the
+ * bookkeeping between levels.
  *
- * @p make_fetch and @p prologue are taken by value: callers pass temporaries
- * and this coroutine outlives the spawning full-expression, so reference
- * parameters would dangle at the first resume.
+ * @p fetch is taken by value: the hook that spawns this coroutine returns
+ * before its first resume, so a reference to the hook's lambda would
+ * dangle.
  */
-template <typename MakeFetch, typename PerChunkPrologue>
+template <typename Fetch>
 sim::Task<void>
 bfsWorker(cpu::Core &core, BfsSim &s, LevelState &ls, sim::Barrier &bar,
-          unsigned t, unsigned threads, MakeFetch make_fetch,
-          PerChunkPrologue prologue, unsigned sw_prefetch_dist = 0)
+          unsigned t, unsigned threads, Fetch fetch, unsigned sw_prefetch_dist = 0)
 {
     while (ls.count > 0) {
         Chunk chunk = chunkOf(ls.count, t, threads);
-        co_await prologue(core, chunk);
-        co_await expandChunk(core, s, ls, chunk, make_fetch, sw_prefetch_dist);
+        co_await expandChunk(core, s, ls, chunk, fetch, sw_prefetch_dist);
         co_await core.storeFence();  // all appends visible before the swap
         co_await bar.wait();
         if (t == 0)
@@ -137,19 +124,16 @@ bfsWorker(cpu::Core &core, BfsSim &s, LevelState &ls, sim::Barrier &bar,
     }
 }
 
-struct NoPrologue {
-    sim::Task<void> operator()(cpu::Core &, Chunk) const { co_return; }
-};
-
 // ---------------------------------------------------------------------------
-// MAPLE decoupling: the Access thread re-walks the same (u, j) sequence and
-// produces dist pointers; regular-pattern data (frontier, row_ptr, col_idx)
-// is loaded from the caches by both threads.
+// Decoupling over a PairQueue: the access thread re-walks the same (u, j)
+// sequence and supplies dist[v]; regular-pattern data (frontier, row_ptr,
+// col_idx) is loaded from the caches by both threads. The execute thread is
+// bfsWorker taking dist[v] from the queue.
 // ---------------------------------------------------------------------------
 
 sim::Task<void>
-mapleAccess(cpu::Core &core, BfsSim &s, LevelState &ls, sim::Barrier &bar,
-            core::MapleApi &api, unsigned q, unsigned pair, unsigned pairs)
+accessWorker(cpu::Core &core, BfsSim &s, LevelState &ls, sim::Barrier &bar,
+             PairQueue &q, unsigned pair, unsigned pairs)
 {
     while (ls.count > 0) {
         Chunk chunk = chunkOf(ls.count, pair, pairs);
@@ -163,81 +147,11 @@ mapleAccess(cpu::Core &core, BfsSim &s, LevelState &ls, sim::Barrier &bar,
             for (std::uint32_t j = jb; j < je; ++j) {
                 auto v = static_cast<std::uint32_t>(
                     co_await core.load(s.g.col_idx.addr(j), 4));
-                co_await core.compute(1);
-                co_await api.producePtr(core, q, s.dist.addr(v));
+                co_await q.supply(core, s.dist.addr(v));
             }
         }
         co_await core.storeFence();
-        co_await bar.wait();  // Execute's thread-0 does the bookkeeping
-        co_await bar.wait();
-    }
-}
-
-sim::Task<void>
-mapleExecute(cpu::Core &core, BfsSim &s, LevelState &ls, sim::Barrier &bar,
-             core::MapleApi &api, unsigned q, unsigned pair, unsigned pairs,
-             bool bookkeeper)
-{
-    while (ls.count > 0) {
-        Chunk chunk = chunkOf(ls.count, pair, pairs);
-        auto fetch = [&](cpu::Core &c, std::uint32_t,
-                         std::uint32_t) -> sim::Task<std::uint32_t> {
-            co_return static_cast<std::uint32_t>(co_await api.consume(c, q));
-        };
-        co_await expandChunk(core, s, ls, chunk, fetch);
-        co_await core.storeFence();
-        co_await bar.wait();
-        if (bookkeeper)
-            co_await advanceLevel(core, s, ls);
-        co_await bar.wait();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shared-memory decoupling
-// ---------------------------------------------------------------------------
-
-sim::Task<void>
-swqAccess(cpu::Core &core, BfsSim &s, LevelState &ls, sim::Barrier &bar,
-          baselines::SwQueue &swq, unsigned pair, unsigned pairs)
-{
-    while (ls.count > 0) {
-        Chunk chunk = chunkOf(ls.count, pair, pairs);
-        for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
-            auto u = static_cast<std::uint32_t>(
-                co_await core.load(curFrontier(s, ls, i), 4));
-            auto jb = static_cast<std::uint32_t>(
-                co_await core.load(s.g.row_ptr.addr(u), 4));
-            auto je = static_cast<std::uint32_t>(
-                co_await core.load(s.g.row_ptr.addr(u + 1), 4));
-            for (std::uint32_t j = jb; j < je; ++j) {
-                auto v = static_cast<std::uint32_t>(
-                    co_await core.load(s.g.col_idx.addr(j), 4));
-                std::uint64_t dv = co_await core.load(s.dist.addr(v), 4);
-                co_await swq.produce(core, dv);
-            }
-        }
-        co_await core.storeFence();
-        co_await bar.wait();
-        co_await bar.wait();
-    }
-}
-
-sim::Task<void>
-swqExecute(cpu::Core &core, BfsSim &s, LevelState &ls, sim::Barrier &bar,
-           baselines::SwQueue &swq, unsigned pair, unsigned pairs, bool bookkeeper)
-{
-    while (ls.count > 0) {
-        Chunk chunk = chunkOf(ls.count, pair, pairs);
-        auto fetch = [&](cpu::Core &c, std::uint32_t,
-                         std::uint32_t) -> sim::Task<std::uint32_t> {
-            co_return static_cast<std::uint32_t>(co_await swq.consume(c));
-        };
-        co_await expandChunk(core, s, ls, chunk, fetch);
-        co_await core.storeFence();
-        co_await bar.wait();
-        if (bookkeeper)
-            co_await advanceLevel(core, s, ls);
+        co_await bar.wait();  // execute thread 0 does the bookkeeping
         co_await bar.wait();
     }
 }
@@ -508,27 +422,21 @@ Bfs::run(const RunConfig &cfg)
         exec_levels = std::make_unique<std::uint32_t[]>(pairs);
         edges_done = std::make_unique<std::uint64_t[]>(pairs);
     };
-    k.doall = [&](cpu::Core &c, unsigned t, unsigned n) {
-        return bfsWorker(c, s, ls, *bar, t, n, LoadFetch{s}, NoPrologue{});
-    };
-    k.sw_prefetch = [&](cpu::Core &c) {
-        return bfsWorker(c, s, ls, *bar, 0, 1, LoadFetch{s}, NoPrologue{},
-                         cfg.prefetch_distance);
+    k.doall = [&](cpu::Core &c, unsigned t, unsigned n, unsigned dist) {
+        auto load = [&s](cpu::Core &cc, std::uint32_t v) {
+            return cc.load(s.dist.addr(v), 4);
+        };
+        return bfsWorker(c, s, ls, *bar, t, n, load, dist);
     };
     k.lima = [&](cpu::Core &c, core::MapleApi &api) {
         return limaWorker(c, s, ls, *bar, api, 0, 4);
     };
-    k.maple_access = [&](cpu::Core &c, core::MapleApi &api, unsigned p, unsigned n) {
-        return mapleAccess(c, s, ls, *bar, api, p, p, n);
+    k.access = [&](cpu::Core &c, PairQueue &q, unsigned p, unsigned n) {
+        return accessWorker(c, s, ls, *bar, q, p, n);
     };
-    k.maple_execute = [&](cpu::Core &c, core::MapleApi &api, unsigned p, unsigned n) {
-        return mapleExecute(c, s, ls, *bar, api, p, p, n, p == 0);
-    };
-    k.swq_access = [&](cpu::Core &c, baselines::SwQueue &q, unsigned p, unsigned n) {
-        return swqAccess(c, s, ls, *bar, q, p, n);
-    };
-    k.swq_execute = [&](cpu::Core &c, baselines::SwQueue &q, unsigned p, unsigned n) {
-        return swqExecute(c, s, ls, *bar, q, p, n, p == 0);
+    k.execute = [&](cpu::Core &c, PairQueue &q, unsigned p, unsigned n) {
+        auto take = [&q](cpu::Core &cc, std::uint32_t) { return q.take(cc); };
+        return bfsWorker(c, s, ls, *bar, p, n, take);
     };
     k.desc_supply = [&](cpu::Core &c, baselines::DescQueue &q, unsigned p, unsigned n) {
         return descSupply(q.eq(), c, s, ls, *bar, q, p, n, &exec_levels[p],

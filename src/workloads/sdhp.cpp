@@ -9,7 +9,6 @@
  * one store -- which makes the kernel even more memory-bound.
  */
 #include "baselines/desc.hpp"
-#include "baselines/sw_queue.hpp"
 #include "workloads/workload.hpp"
 
 namespace maple::app {
@@ -29,8 +28,9 @@ denseAddr(const SdhpSim &s, std::uint64_t r, std::uint32_t c)
     return s.dense.addr(r * s.cols + c);
 }
 
+/** doall; a nonzero @p dist inserts same-row software prefetches. */
 sim::Task<void>
-doallWorker(cpu::Core &core, SdhpSim &s, Chunk rows)
+doallWorker(cpu::Core &core, SdhpSim &s, Chunk rows, unsigned dist)
 {
     auto jb = static_cast<std::uint32_t>(
         co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
@@ -38,27 +38,7 @@ doallWorker(cpu::Core &core, SdhpSim &s, Chunk rows)
         auto je = static_cast<std::uint32_t>(
             co_await core.load(s.m.row_ptr.addr(r + 1), 4));
         for (std::uint32_t j = jb; j < je; ++j) {
-            auto c = static_cast<std::uint32_t>(
-                co_await core.load(s.m.col_idx.addr(j), 4));
-            float v = f32FromBits(co_await core.load(s.m.vals.addr(j), 4));
-            float d = f32FromBits(co_await core.load(denseAddr(s, r, c), 4));
-            co_await core.compute(1);
-            co_await core.store(s.out.addr(j), bitsFromF32(v * d), 4);
-        }
-        jb = je;
-    }
-}
-
-sim::Task<void>
-swPrefetchWorker(cpu::Core &core, SdhpSim &s, Chunk rows, unsigned dist)
-{
-    auto jb = static_cast<std::uint32_t>(
-        co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
-    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        for (std::uint32_t j = jb; j < je; ++j) {
-            if (j + dist < je) {  // same-row prefetch: the row base differs
+            if (dist && j + dist < je) {  // same-row prefetch: the row base differs
                 auto cd = static_cast<std::uint32_t>(
                     co_await core.load(s.m.col_idx.addr(j + dist), 4));
                 co_await core.compute(4);
@@ -118,7 +98,7 @@ limaWorker(cpu::Core &core, SdhpSim &s, core::MapleApi &api, unsigned q)
 }
 
 sim::Task<void>
-mapleAccess(cpu::Core &core, SdhpSim &s, core::MapleApi &api, unsigned q, Chunk rows)
+accessWorker(cpu::Core &core, SdhpSim &s, PairQueue &q, Chunk rows)
 {
     auto jb = static_cast<std::uint32_t>(
         co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
@@ -128,15 +108,14 @@ mapleAccess(cpu::Core &core, SdhpSim &s, core::MapleApi &api, unsigned q, Chunk 
         for (std::uint32_t j = jb; j < je; ++j) {
             auto c = static_cast<std::uint32_t>(
                 co_await core.load(s.m.col_idx.addr(j), 4));
-            co_await core.compute(1);
-            co_await api.producePtr(core, q, denseAddr(s, r, c));
+            co_await q.supply(core, denseAddr(s, r, c));
         }
         jb = je;
     }
 }
 
 sim::Task<void>
-mapleExecute(cpu::Core &core, SdhpSim &s, core::MapleApi &api, unsigned q, Chunk rows)
+executeWorker(cpu::Core &core, SdhpSim &s, PairQueue &q, Chunk rows)
 {
     auto jb = static_cast<std::uint32_t>(
         co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
@@ -145,7 +124,7 @@ mapleExecute(cpu::Core &core, SdhpSim &s, core::MapleApi &api, unsigned q, Chunk
             co_await core.load(s.m.row_ptr.addr(r + 1), 4));
         for (std::uint32_t j = jb; j < je; ++j) {
             float v = f32FromBits(co_await core.load(s.m.vals.addr(j), 4));
-            float d = f32FromBits(co_await api.consume(core, q));
+            float d = f32FromBits(co_await q.take(core));
             co_await core.compute(1);
             co_await core.store(s.out.addr(j), bitsFromF32(v * d), 4);
         }
@@ -154,44 +133,7 @@ mapleExecute(cpu::Core &core, SdhpSim &s, core::MapleApi &api, unsigned q, Chunk
 }
 
 sim::Task<void>
-swqAccess(cpu::Core &core, SdhpSim &s, baselines::SwQueue &swq, Chunk rows)
-{
-    auto jb = static_cast<std::uint32_t>(
-        co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
-    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        for (std::uint32_t j = jb; j < je; ++j) {
-            auto c = static_cast<std::uint32_t>(
-                co_await core.load(s.m.col_idx.addr(j), 4));
-            std::uint64_t d = co_await core.load(denseAddr(s, r, c), 4);
-            co_await swq.produce(core, d);
-        }
-        jb = je;
-    }
-}
-
-sim::Task<void>
-swqExecute(cpu::Core &core, SdhpSim &s, baselines::SwQueue &swq, Chunk rows)
-{
-    auto jb = static_cast<std::uint32_t>(
-        co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
-    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        for (std::uint32_t j = jb; j < je; ++j) {
-            float v = f32FromBits(co_await core.load(s.m.vals.addr(j), 4));
-            float d = f32FromBits(co_await swq.consume(core));
-            co_await core.compute(1);
-            co_await core.store(s.out.addr(j), bitsFromF32(v * d), 4);
-        }
-        jb = je;
-    }
-}
-
-sim::Task<void>
-descSupply(sim::EventQueue &eq, cpu::Core &core, SdhpSim &s,
-           baselines::DescQueue &dq, Chunk rows, const bool *exec_done)
+descSupply(cpu::Core &core, SdhpSim &s, baselines::DescQueue &dq, Chunk rows)
 {
     auto jb = static_cast<std::uint32_t>(
         co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
@@ -210,15 +152,11 @@ descSupply(sim::EventQueue &eq, cpu::Core &core, SdhpSim &s,
         }
         jb = je;
     }
-    while (!*exec_done || !dq.storeQueueEmpty()) {
-        if (!co_await dq.drainOneStore(core))
-            co_await sim::delay(eq, 20);
-    }
+    co_await dq.drainStoresToEnd(core);
 }
 
 sim::Task<void>
-descCompute(cpu::Core &core, SdhpSim &s, baselines::DescQueue &dq, Chunk rows,
-            bool *exec_done)
+descCompute(cpu::Core &core, SdhpSim &s, baselines::DescQueue &dq, Chunk rows)
 {
     for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
         std::uint64_t hdr = co_await dq.consume(core);
@@ -231,7 +169,7 @@ descCompute(cpu::Core &core, SdhpSim &s, baselines::DescQueue &dq, Chunk rows,
             co_await dq.produceStore(core, s.out.addr(jb + k), bitsFromF32(v * d));
         }
     }
-    *exec_done = true;
+    dq.finishCompute();
 }
 
 class Sdhp final : public Workload {
@@ -260,42 +198,31 @@ RunResult
 Sdhp::run(const RunConfig &cfg)
 {
     SdhpSim s;
-    std::unique_ptr<bool[]> exec_done;  // per DeSC pair
     auto rows = [this](unsigned p, unsigned n) { return chunkOf(m_.rows, p, n); };
     WorkloadParts k;
-    k.upload = [&](os::Process &proc, unsigned, unsigned pairs) {
+    k.upload = [&](os::Process &proc, unsigned, unsigned) {
         s.m = SimCsr::upload(proc, m_, true);
         s.dense = SimArray<float>(proc, dense_.size(), "dense");
         s.dense.upload(dense_);
         s.out = SimArray<float>(proc, m_.nnz(), "out");
         s.rows = m_.rows;
         s.cols = m_.cols;
-        exec_done = std::make_unique<bool[]>(pairs);
     };
-    k.doall = [&](cpu::Core &c, unsigned t, unsigned n) {
-        return doallWorker(c, s, rows(t, n));
-    };
-    k.sw_prefetch = [&](cpu::Core &c) {
-        return swPrefetchWorker(c, s, Chunk{0, m_.rows}, cfg.prefetch_distance);
+    k.doall = [&](cpu::Core &c, unsigned t, unsigned n, unsigned dist) {
+        return doallWorker(c, s, rows(t, n), dist);
     };
     k.lima = [&](cpu::Core &c, core::MapleApi &api) { return limaWorker(c, s, api, 0); };
-    k.maple_access = [&](cpu::Core &c, core::MapleApi &api, unsigned p, unsigned n) {
-        return mapleAccess(c, s, api, p, rows(p, n));
+    k.access = [&](cpu::Core &c, PairQueue &q, unsigned p, unsigned n) {
+        return accessWorker(c, s, q, rows(p, n));
     };
-    k.maple_execute = [&](cpu::Core &c, core::MapleApi &api, unsigned p, unsigned n) {
-        return mapleExecute(c, s, api, p, rows(p, n));
-    };
-    k.swq_access = [&](cpu::Core &c, baselines::SwQueue &q, unsigned p, unsigned n) {
-        return swqAccess(c, s, q, rows(p, n));
-    };
-    k.swq_execute = [&](cpu::Core &c, baselines::SwQueue &q, unsigned p, unsigned n) {
-        return swqExecute(c, s, q, rows(p, n));
+    k.execute = [&](cpu::Core &c, PairQueue &q, unsigned p, unsigned n) {
+        return executeWorker(c, s, q, rows(p, n));
     };
     k.desc_supply = [&](cpu::Core &c, baselines::DescQueue &q, unsigned p, unsigned n) {
-        return descSupply(q.eq(), c, s, q, rows(p, n), &exec_done[p]);
+        return descSupply(c, s, q, rows(p, n));
     };
     k.desc_compute = [&](cpu::Core &c, baselines::DescQueue &q, unsigned p, unsigned n) {
-        return descCompute(c, s, q, rows(p, n), &exec_done[p]);
+        return descCompute(c, s, q, rows(p, n));
     };
     // DROPLET registers one (index, data) physical pair; the Hadamard
     // product's data base moves with the sparse row, which region-based

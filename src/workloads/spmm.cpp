@@ -147,12 +147,10 @@ Spmm::run(const RunConfig &cfg)
         s.y = SimArray<float>(proc, golden_.size(), "y");
         s.dim = a_.rows;
     };
-    k.doall = [&](cpu::Core &c, unsigned t, unsigned n) {
-        return doallWorker(c, s, chunkOf(s.dim, t, n), 0);
-    };
-    k.sw_prefetch = [&](cpu::Core &c) {
-        return doallWorker(c, s, Chunk{0, s.dim},
-                           std::max(2u, cfg.prefetch_distance / 2));
+    // Half distance: a prefetch stays inside one W row, and a row holds
+    // about nnz_per_row elements.
+    k.doall = [&](cpu::Core &c, unsigned t, unsigned n, unsigned dist) {
+        return doallWorker(c, s, chunkOf(s.dim, t, n), dist / 2);
     };
     k.lima = [&](cpu::Core &c, core::MapleApi &api) { return limaWorker(c, s, api); };
     k.lima_opens_queue = false;

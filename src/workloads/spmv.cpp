@@ -9,7 +9,6 @@
  * against a host-computed golden result.
  */
 #include "baselines/desc.hpp"
-#include "baselines/sw_queue.hpp"
 #include "workloads/workload.hpp"
 
 namespace maple::app {
@@ -25,39 +24,14 @@ struct SpmvSim {
 };
 
 // ---------------------------------------------------------------------------
-// doall (also the no-prefetch single-thread baseline)
+// doall (also the no-prefetch single-thread baseline). A nonzero @p dist
+// inserts Ainsworth & Jones-style software prefetches (sw-prefetch).
 // ---------------------------------------------------------------------------
 
 sim::Task<void>
-doallWorker(cpu::Core &core, SpmvSim &s, Chunk rows)
+doallWorker(cpu::Core &core, SpmvSim &s, Chunk rows, unsigned dist)
 {
-    auto jb = static_cast<std::uint32_t>(
-        co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
-    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        float acc = 0.0f;
-        for (std::uint32_t j = jb; j < je; ++j) {
-            auto c = static_cast<std::uint32_t>(
-                co_await core.load(s.m.col_idx.addr(j), 4));
-            float v = f32FromBits(co_await core.load(s.m.vals.addr(j), 4));
-            float xv = f32FromBits(co_await core.load(s.x.addr(c), 4));
-            co_await core.compute(1);  // fused multiply-add
-            acc += v * xv;
-        }
-        co_await core.store(s.y.addr(r), bitsFromF32(acc), 4);
-        jb = je;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Software prefetching (Ainsworth & Jones-style indirect prefetch insertion)
-// ---------------------------------------------------------------------------
-
-sim::Task<void>
-swPrefetchWorker(cpu::Core &core, SpmvSim &s, Chunk rows, unsigned dist,
-                 std::uint32_t nnz_total)
-{
+    const std::uint64_t nnz = s.m.col_idx.size();
     auto jb = static_cast<std::uint32_t>(
         co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
     for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
@@ -68,7 +42,7 @@ swPrefetchWorker(cpu::Core &core, SpmvSim &s, Chunk rows, unsigned dist,
             // Inserted prefetch code: load col_idx[j+dist] (the extra load
             // software prefetching cannot avoid), compute the target address
             // and prefetch x[c'] into the L1.
-            if (j + dist < nnz_total) {
+            if (dist && j + dist < nnz) {
                 auto cd = static_cast<std::uint32_t>(
                     co_await core.load(s.m.col_idx.addr(j + dist), 4));
                 co_await core.compute(4);  // bounds check + address computation
@@ -78,7 +52,7 @@ swPrefetchWorker(cpu::Core &core, SpmvSim &s, Chunk rows, unsigned dist,
                 co_await core.load(s.m.col_idx.addr(j), 4));
             float v = f32FromBits(co_await core.load(s.m.vals.addr(j), 4));
             float xv = f32FromBits(co_await core.load(s.x.addr(c), 4));
-            co_await core.compute(1);
+            co_await core.compute(1);  // fused multiply-add
             acc += v * xv;
         }
         co_await core.store(s.y.addr(r), bitsFromF32(acc), 4);
@@ -96,36 +70,29 @@ limaWorker(cpu::Core &core, SpmvSim &s, core::MapleApi &api, unsigned q,
            unsigned dist_rows)
 {
     const std::uint32_t rows = s.rows;
-    // Row bounds for the LIMA launch stream (runs dist_rows ahead).
-    auto pb = static_cast<std::uint32_t>(co_await core.load(s.m.row_ptr.addr(0), 4));
+    core::LimaRequest req;
+    req.a_base = s.x.addr(0);
+    req.b_base = s.m.col_idx.addr(0);
+    req.target_queue = q;
+    // Row bounds for the LIMA launch stream (runs dist_rows ahead): each
+    // launch starts where the previous one ended.
+    req.end = static_cast<std::uint32_t>(co_await core.load(s.m.row_ptr.addr(0), 4));
     std::uint32_t prologue = std::min(dist_rows, rows);
     for (std::uint32_t r = 0; r < prologue; ++r) {
-        auto pe = static_cast<std::uint32_t>(
+        req.start = req.end;
+        req.end = static_cast<std::uint32_t>(
             co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        core::LimaRequest req;
-        req.a_base = s.x.addr(0);
-        req.b_base = s.m.col_idx.addr(0);
-        req.start = pb;
-        req.end = pe;
-        req.target_queue = q;
         co_await api.lima(core, req);
-        pb = pe;
     }
 
     PairedConsumer cons{api, q, s.m.col_idx.size(), false, 0};
     auto jb = static_cast<std::uint32_t>(co_await core.load(s.m.row_ptr.addr(0), 4));
     for (std::uint32_t r = 0; r < rows; ++r) {
         if (r + dist_rows < rows) {
-            auto pe = static_cast<std::uint32_t>(
+            req.start = req.end;
+            req.end = static_cast<std::uint32_t>(
                 co_await core.load(s.m.row_ptr.addr(r + dist_rows + 1), 4));
-            core::LimaRequest req;
-            req.a_base = s.x.addr(0);
-            req.b_base = s.m.col_idx.addr(0);
-            req.start = pb;
-            req.end = pe;
-            req.target_queue = q;
             co_await api.lima(core, req);
-            pb = pe;
         }
         auto je = static_cast<std::uint32_t>(
             co_await core.load(s.m.row_ptr.addr(r + 1), 4));
@@ -142,11 +109,12 @@ limaWorker(cpu::Core &core, SpmvSim &s, core::MapleApi &api, unsigned q,
 }
 
 // ---------------------------------------------------------------------------
-// Decoupled access/execute: MAPLE, shared-memory queue and DeSC variants
+// Decoupled access/execute over a PairQueue (MAPLE or the shared-memory
+// ring), and the DeSC variant
 // ---------------------------------------------------------------------------
 
 sim::Task<void>
-mapleAccess(cpu::Core &core, SpmvSim &s, core::MapleApi &api, unsigned q, Chunk rows)
+accessWorker(cpu::Core &core, SpmvSim &s, PairQueue &q, Chunk rows)
 {
     auto jb = static_cast<std::uint32_t>(
         co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
@@ -156,15 +124,14 @@ mapleAccess(cpu::Core &core, SpmvSim &s, core::MapleApi &api, unsigned q, Chunk 
         for (std::uint32_t j = jb; j < je; ++j) {
             auto c = static_cast<std::uint32_t>(
                 co_await core.load(s.m.col_idx.addr(j), 4));
-            co_await core.compute(1);  // address generation
-            co_await api.producePtr(core, q, s.x.addr(c));
+            co_await q.supply(core, s.x.addr(c));
         }
         jb = je;
     }
 }
 
 sim::Task<void>
-mapleExecute(cpu::Core &core, SpmvSim &s, core::MapleApi &api, unsigned q, Chunk rows)
+executeWorker(cpu::Core &core, SpmvSim &s, PairQueue &q, Chunk rows)
 {
     auto jb = static_cast<std::uint32_t>(
         co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
@@ -174,7 +141,7 @@ mapleExecute(cpu::Core &core, SpmvSim &s, core::MapleApi &api, unsigned q, Chunk
         float acc = 0.0f;
         for (std::uint32_t j = jb; j < je; ++j) {
             float v = f32FromBits(co_await core.load(s.m.vals.addr(j), 4));
-            float xv = f32FromBits(co_await api.consume(core, q));
+            float xv = f32FromBits(co_await q.take(core));
             co_await core.compute(1);
             acc += v * xv;
         }
@@ -184,48 +151,7 @@ mapleExecute(cpu::Core &core, SpmvSim &s, core::MapleApi &api, unsigned q, Chunk
 }
 
 sim::Task<void>
-swqAccess(cpu::Core &core, SpmvSim &s, baselines::SwQueue &swq, Chunk rows)
-{
-    auto jb = static_cast<std::uint32_t>(
-        co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
-    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        for (std::uint32_t j = jb; j < je; ++j) {
-            auto c = static_cast<std::uint32_t>(
-                co_await core.load(s.m.col_idx.addr(j), 4));
-            // The access core itself performs the IMA -- on this in-order
-            // core the load blocks, which is exactly the loss of runahead.
-            std::uint64_t xv = co_await core.load(s.x.addr(c), 4);
-            co_await swq.produce(core, xv);
-        }
-        jb = je;
-    }
-}
-
-sim::Task<void>
-swqExecute(cpu::Core &core, SpmvSim &s, baselines::SwQueue &swq, Chunk rows)
-{
-    auto jb = static_cast<std::uint32_t>(
-        co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
-    for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.m.row_ptr.addr(r + 1), 4));
-        float acc = 0.0f;
-        for (std::uint32_t j = jb; j < je; ++j) {
-            float v = f32FromBits(co_await core.load(s.m.vals.addr(j), 4));
-            float xv = f32FromBits(co_await swq.consume(core));
-            co_await core.compute(1);
-            acc += v * xv;
-        }
-        co_await core.store(s.y.addr(r), bitsFromF32(acc), 4);
-        jb = je;
-    }
-}
-
-sim::Task<void>
-descSupply(sim::EventQueue &eq, cpu::Core &core, SpmvSim &s,
-           baselines::DescQueue &dq, Chunk rows, const bool *exec_done)
+descSupply(cpu::Core &core, SpmvSim &s, baselines::DescQueue &dq, Chunk rows)
 {
     auto jb = static_cast<std::uint32_t>(
         co_await core.load(s.m.row_ptr.addr(rows.begin), 4));
@@ -247,15 +173,11 @@ descSupply(sim::EventQueue &eq, cpu::Core &core, SpmvSim &s,
         }
         jb = je;
     }
-    while (!*exec_done || !dq.storeQueueEmpty()) {
-        if (!co_await dq.drainOneStore(core))
-            co_await sim::delay(eq, 20);
-    }
+    co_await dq.drainStoresToEnd(core);
 }
 
 sim::Task<void>
-descCompute(cpu::Core &core, SpmvSim &s, baselines::DescQueue &dq, Chunk rows,
-            bool *exec_done)
+descCompute(cpu::Core &core, SpmvSim &s, baselines::DescQueue &dq, Chunk rows)
 {
     for (std::uint64_t r = rows.begin; r < rows.end; ++r) {
         auto n = static_cast<std::uint32_t>(co_await dq.consume(core));
@@ -268,7 +190,7 @@ descCompute(cpu::Core &core, SpmvSim &s, baselines::DescQueue &dq, Chunk rows,
         }
         co_await dq.produceStore(core, s.y.addr(r), bitsFromF32(acc));
     }
-    *exec_done = true;
+    dq.finishCompute();
 }
 
 // ---------------------------------------------------------------------------
@@ -305,44 +227,32 @@ RunResult
 Spmv::run(const RunConfig &cfg)
 {
     SpmvSim s;
-    std::unique_ptr<bool[]> exec_done;  // per DeSC pair
     auto rows = [this](unsigned p, unsigned n) { return chunkOf(m_.rows, p, n); };
     WorkloadParts k;
-    k.upload = [&](os::Process &proc, unsigned, unsigned pairs) {
+    k.upload = [&](os::Process &proc, unsigned, unsigned) {
         s.m = SimCsr::upload(proc, m_, /*with_vals=*/true);
         s.x = SimArray<float>(proc, x_.size(), "x");
         s.x.upload(x_);
         s.y = SimArray<float>(proc, m_.rows, "y");
         s.rows = m_.rows;
-        exec_done = std::make_unique<bool[]>(pairs);
     };
-    k.doall = [&](cpu::Core &c, unsigned t, unsigned n) {
-        return doallWorker(c, s, rows(t, n));
-    };
-    k.sw_prefetch = [&](cpu::Core &c) {
-        return swPrefetchWorker(c, s, Chunk{0, m_.rows}, cfg.prefetch_distance,
-                                static_cast<std::uint32_t>(m_.nnz()));
+    k.doall = [&](cpu::Core &c, unsigned t, unsigned n, unsigned dist) {
+        return doallWorker(c, s, rows(t, n), dist);
     };
     k.lima = [&](cpu::Core &c, core::MapleApi &api) {
-        return limaWorker(c, s, api, 0, std::max(2u, cfg.prefetch_distance / 2));
+        return limaWorker(c, s, api, 0, kPrefetchDistance / 2);
     };
-    k.maple_access = [&](cpu::Core &c, core::MapleApi &api, unsigned p, unsigned n) {
-        return mapleAccess(c, s, api, p, rows(p, n));
+    k.access = [&](cpu::Core &c, PairQueue &q, unsigned p, unsigned n) {
+        return accessWorker(c, s, q, rows(p, n));
     };
-    k.maple_execute = [&](cpu::Core &c, core::MapleApi &api, unsigned p, unsigned n) {
-        return mapleExecute(c, s, api, p, rows(p, n));
-    };
-    k.swq_access = [&](cpu::Core &c, baselines::SwQueue &q, unsigned p, unsigned n) {
-        return swqAccess(c, s, q, rows(p, n));
-    };
-    k.swq_execute = [&](cpu::Core &c, baselines::SwQueue &q, unsigned p, unsigned n) {
-        return swqExecute(c, s, q, rows(p, n));
+    k.execute = [&](cpu::Core &c, PairQueue &q, unsigned p, unsigned n) {
+        return executeWorker(c, s, q, rows(p, n));
     };
     k.desc_supply = [&](cpu::Core &c, baselines::DescQueue &q, unsigned p, unsigned n) {
-        return descSupply(q.eq(), c, s, q, rows(p, n), &exec_done[p]);
+        return descSupply(c, s, q, rows(p, n));
     };
     k.desc_compute = [&](cpu::Core &c, baselines::DescQueue &q, unsigned p, unsigned n) {
-        return descCompute(c, s, q, rows(p, n), &exec_done[p]);
+        return descCompute(c, s, q, rows(p, n));
     };
     k.droplet = [&] {
         return DropletRegion{s.m.col_idx.addr(0), s.m.col_idx.size(), s.x.addr(0)};

@@ -18,6 +18,58 @@ decouples(Technique t)
            t == Technique::Desc;
 }
 
+/** MAPLE queue @p q: the access thread hands MAPLE a pointer and runs on. */
+class MaplePairQueue final : public PairQueue {
+  public:
+    MaplePairQueue(core::MapleApi &api, unsigned q) : api_(api), q_(q) {}
+
+    sim::Task<void>
+    supply(cpu::Core &core, sim::Addr vaddr) override
+    {
+        co_await core.compute(1);  // address generation
+        // PRODUCE_PTR: MAPLE fetches the value while the access thread
+        // moves on to the next index.
+        co_await api_.producePtr(core, q_, vaddr);
+    }
+
+    sim::Task<std::uint64_t>
+    take(cpu::Core &core) override
+    {
+        // CONSUME, one MMIO load. Returning the core's Task (no co_await)
+        // adds no coroutine frame; the same holds for the ring's take.
+        return api_.consume(core, q_);
+    }
+
+  private:
+    core::MapleApi &api_;
+    unsigned q_;
+};
+
+/** Ring buffer in shared memory (baselines::SwQueue). */
+class SwPairQueue final : public PairQueue {
+  public:
+    explicit SwPairQueue(os::Process &proc) : ring_(proc, 1024) {}
+
+    sim::Task<void>
+    supply(cpu::Core &core, sim::Addr vaddr) override
+    {
+        // The access thread loads the value itself; on this in-order core
+        // the load blocks, which is exactly the ring's loss of runahead.
+        std::uint64_t v = co_await core.load(vaddr, 4);
+        co_await ring_.produce(core, v);
+    }
+
+    sim::Task<std::uint64_t>
+    take(cpu::Core &core) override
+    {
+        // Ring management plus shared loads and stores of the slot and head.
+        return ring_.consume(core);
+    }
+
+  private:
+    baselines::SwQueue ring_;
+};
+
 }  // namespace
 
 const char *
@@ -74,7 +126,7 @@ runTechnique(const std::string &name, const RunConfig &cfg,
     res.workload = name;
     res.technique = techniqueName(cfg.tech);
     Technique tech = cfg.tech;
-    if (decouples(tech) && !parts.maple_access) {
+    if (decouples(tech) && !parts.access) {
         tech = Technique::Doall;
         res.fell_back_to_doall = true;
     }
@@ -94,7 +146,7 @@ runTechnique(const std::string &name, const RunConfig &cfg,
     // Technique setup, before the measured run. Declared after the Soc so
     // they die first: DROPLET's destructor unhooks the LLC front.
     std::optional<core::MapleApi> api;
-    std::deque<baselines::SwQueue> swqs;
+    std::vector<std::unique_ptr<PairQueue>> pair_queues;
     std::deque<baselines::DescQueue> descs;
     std::optional<baselines::DropletPrefetcher> droplet;
     if (tech == Technique::MapleDecouple || tech == Technique::LimaPrefetch) {
@@ -107,9 +159,13 @@ runTechnique(const std::string &name, const RunConfig &cfg,
                                                  cfg.queue_entries, 4))},
                     cfg.max_cycles);
         }
+    }
+    if (tech == Technique::MapleDecouple) {
+        for (unsigned p = 0; p < pairs; ++p)
+            pair_queues.push_back(std::make_unique<MaplePairQueue>(*api, p));
     } else if (tech == Technique::SwDecouple) {
         for (unsigned p = 0; p < pairs; ++p)
-            swqs.emplace_back(proc, 1024);
+            pair_queues.push_back(std::make_unique<SwPairQueue>(proc));
     } else if (tech == Technique::Desc) {
         for (unsigned p = 0; p < pairs; ++p)
             descs.emplace_back(soc.eq(), soc.physMem(),
@@ -131,27 +187,23 @@ runTechnique(const std::string &name, const RunConfig &cfg,
         spawn(execute(soc.core(2 * p + 1), q, p, pairs));
     };
     switch (tech) {
-      case Technique::SwPrefetch:
-        spawn(parts.sw_prefetch(soc.core(0)));
-        break;
       case Technique::LimaPrefetch:
         spawn(parts.lima(soc.core(0), *api));
         break;
       case Technique::MapleDecouple:
-        for (unsigned p = 0; p < pairs; ++p)
-            spawnPair(parts.maple_access, parts.maple_execute, *api, p);
-        break;
       case Technique::SwDecouple:
         for (unsigned p = 0; p < pairs; ++p)
-            spawnPair(parts.swq_access, parts.swq_execute, swqs[p], p);
+            spawnPair(parts.access, parts.execute, *pair_queues[p], p);
         break;
       case Technique::Desc:
         for (unsigned p = 0; p < pairs; ++p)
             spawnPair(parts.desc_supply, parts.desc_compute, descs[p], p);
         break;
-      default:  // doall, no-prefetch, droplet
+      default: {  // doall, no-prefetch, sw-prefetch (one thread), droplet
+        const unsigned dist = tech == Technique::SwPrefetch ? kPrefetchDistance : 0;
         for (unsigned t = 0; t < threads; ++t)
-            spawn(parts.doall(soc.core(t), t, threads));
+            spawn(parts.doall(soc.core(t), t, threads, dist));
+      }
     }
 
     res.cycles = soc.run(std::move(joins), cfg.max_cycles);

@@ -25,7 +25,6 @@
 
 namespace maple::baselines {
 class DescQueue;
-class SwQueue;
 }  // namespace maple::baselines
 
 namespace maple::app {
@@ -44,11 +43,14 @@ enum class Technique {
 
 const char *techniqueName(Technique t);
 
+/** Elements a sw-prefetch runs ahead of its demand access. SPMV's LIMA
+ *  (in rows) and SPMM's sw-prefetch use half of it. */
+inline constexpr unsigned kPrefetchDistance = 8;
+
 struct RunConfig {
     Technique tech = Technique::Doall;
     unsigned threads = 2;          ///< total simulated software threads
     unsigned queue_entries = 32;   ///< MAPLE queue depth (decoupling)
-    unsigned prefetch_distance = 8;
     soc::SocConfig soc = soc::SocConfig::fpga();
     sim::Cycle max_cycles = 2'000'000'000ull;
 };
@@ -134,6 +136,24 @@ struct DropletRegion {
 };
 
 /**
+ * The queue of one decoupled pair (maple-decouple or sw-decouple) as its
+ * two threads use it. runTechnique() makes one per pair; each queue charges
+ * its own costs (DESIGN.md section 17).
+ */
+class PairQueue {
+  public:
+    PairQueue() = default;
+    /** Pinned: the pair's suspended workers hold its address. */
+    PairQueue(const PairQueue &) = delete;
+    PairQueue &operator=(const PairQueue &) = delete;
+    virtual ~PairQueue() = default;
+    /** Access thread: deliver the 4-byte value at @p vaddr. */
+    virtual sim::Task<void> supply(cpu::Core &core, sim::Addr vaddr) = 0;
+    /** Execute thread: the next delivered value, in supply order. */
+    virtual sim::Task<std::uint64_t> take(cpu::Core &core) = 0;
+};
+
+/**
  * A workload's own parts of a technique run; runTechnique() does the rest.
  * Each hook runs once per run or once per spawned worker, never per event.
  */
@@ -146,16 +166,17 @@ struct WorkloadParts {
     /** Allocate and upload the dataset. The run spawns @p threads workers,
      *  or 2 * @p pairs when the technique decouples (else @p pairs is 0). */
     std::function<void(os::Process &, unsigned threads, unsigned pairs)> upload;
-    /** Worker @p t of @p n: doall, no-prefetch and droplet. */
-    std::function<sim::Task<void>(cpu::Core &, unsigned t, unsigned n)> doall;
-    std::function<sim::Task<void>(cpu::Core &)> sw_prefetch;
+    /** Worker @p t of @p n: doall, no-prefetch and droplet with @p dist 0;
+     *  sw-prefetch prefetches @p dist elements ahead (kPrefetchDistance). */
+    std::function<sim::Task<void>(cpu::Core &, unsigned t, unsigned n,
+                                  unsigned dist)>
+        doall;
     std::function<sim::Task<void>(cpu::Core &, core::MapleApi &)> lima;
     /** False when LIMA only prefetches into the LLC: no queue is opened. */
     bool lima_opens_queue = true;
     /** Empty when the kernel cannot be decoupled: the decoupled techniques
      *  then run doall and set RunResult::fell_back_to_doall. */
-    PairWorker<core::MapleApi> maple_access, maple_execute;
-    PairWorker<baselines::SwQueue> swq_access, swq_execute;
+    PairWorker<PairQueue> access, execute;
     PairWorker<baselines::DescQueue> desc_supply, desc_compute;
     std::function<DropletRegion()> droplet;
     /** Compare the device result with the golden one (checkBitwise). */

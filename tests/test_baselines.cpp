@@ -152,17 +152,13 @@ TEST(Desc, ComputeStoresArePerformedBySupply)
 {
     DescFixture f;
     sim::Addr out = f.proc.alloc(256, "out");
-    bool exec_done = false;
     auto compute = [&](cpu::Core &c) -> sim::Task<void> {
         for (std::uint64_t i = 0; i < 8; ++i)
             co_await f.dq.produceStore(c, out + 4 * i, 40 + i);
-        exec_done = true;
+        f.dq.finishCompute();
     };
     auto supply = [&](cpu::Core &c) -> sim::Task<void> {
-        while (!exec_done || !f.dq.storeQueueEmpty()) {
-            if (!co_await f.dq.drainOneStore(c))
-                co_await sim::delay(f.soc.eq(), 10);
-        }
+        co_await f.dq.drainStoresToEnd(c);
         co_await c.storeFence();
     };
     f.soc.run({sim::spawn(compute(f.soc.core(1))),

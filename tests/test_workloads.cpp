@@ -159,17 +159,25 @@ TEST(WorkloadThreads, ResultsCorrectAcrossThreadCounts)
     }
 }
 
-TEST(WorkloadThreads, MapleDecoupleCorrectWithFourPairs)
+TEST(WorkloadThreads, DecoupleCorrectWithFourPairs)
 {
-    auto spmv = app::makeSpmv(512, 8192, 8, 33);
-    RunConfig cfg;
-    cfg.tech = Technique::MapleDecouple;
-    cfg.threads = 8;  // 4 Access/Execute pairs sharing one MAPLE
-    cfg.soc.num_cores = 8;
-    cfg.soc.mesh_width = 0;
-    cfg.soc.mesh_height = 0;
-    RunResult r = spmv->run(cfg);
-    EXPECT_TRUE(r.valid);
+    std::unique_ptr<app::Workload> workloads[] = {
+        app::makeSpmv(512, 8192, 8, 33), app::makeSdhp(128, 256, 16, 34),
+        app::makeBfs(10, 8, 35)};
+    for (auto &w : workloads) {
+        for (Technique t :
+             {Technique::MapleDecouple, Technique::SwDecouple, Technique::Desc}) {
+            RunConfig cfg;
+            cfg.tech = t;
+            cfg.threads = 8;  // 4 Access/Execute pairs (sharing one MAPLE)
+            cfg.soc.num_cores = 8;
+            cfg.soc.mesh_width = 0;
+            cfg.soc.mesh_height = 0;
+            RunResult r = w->run(cfg);
+            EXPECT_TRUE(r.valid) << r.workload << " " << r.technique;
+            EXPECT_FALSE(r.fell_back_to_doall) << r.workload << " " << r.technique;
+        }
+    }
 }
 
 TEST(WorkloadInvariants, SpmmDecouplingFallsBackToDoall)

@@ -71,12 +71,12 @@ Maple::setDriverFaultHandler(mem::Mmu::FaultHandler handler)
         });
 }
 
-sim::Task<void>
+sim::Delay
 Maple::pipeEnter(sim::Cycle &next_free)
 {
     sim::Cycle start = std::max(eq_.now(), next_free);
     next_free = start + 1;  // initiation interval 1
-    co_await sim::delay(eq_, (start + params_.pipe_latency) - eq_.now());
+    return sim::delay(eq_, (start + params_.pipe_latency) - eq_.now());
 }
 
 sim::Task<void>
@@ -166,56 +166,78 @@ Maple::deviceReset(unsigned q)
         static_cast<std::uint8_t>(MapleStatus::Aborted);
 }
 
+void
+Maple::setStatus(unsigned q, Side side, MapleStatus s)
+{
+    const auto v = static_cast<std::uint8_t>(s);
+    queue_status_[q] = v;
+    (side == Side::Produce ? produce_status_ : consume_status_)[q] = v;
+}
+
+bool
+Maple::dropIfQuiesced(unsigned q, Side side)
+{
+    if (!quiesced_[q])
+        return false;
+    setStatus(q, side, MapleStatus::Quiesced);
+    return true;
+}
+
 sim::Task<void>
-Maple::mmioDelay()
+Maple::mmioDelay(fault::FaultInjector &f)
 {
     // Injected delayed MMIO response: the op sits at the device boundary a
     // few extra cycles before its pipeline sees it. The boundary is an
     // ordering point -- a delayed op holds back every later arrival, so
     // posted produce stores never overtake each other and queue FIFO order
     // is preserved (the fault is latency, never a correctness bug).
-    if (fault::FaultInjector *f = fault::active(eq_)) {
-        sim::Cycle d = f->inject(fault::FaultClass::MmioDelay);
-        if (d)
-            f->chargeCycles(fault::FaultClass::MmioDelay, d);
-        sim::Cycle release = std::max(eq_.now(), mmio_release_) + d;
-        if (release > eq_.now() || mmio_pending_ > 0) {
-            // Suspend even when release == now: earlier ops may still be
-            // parked here with wake events pending later this same cycle,
-            // and sim::delay(0) would never suspend, letting this op barge
-            // past them. A zero-delta resume appends to the current wheel
-            // bucket, so FIFO order across the boundary is preserved.
-            struct BoundaryAwait {
-                sim::EventQueue &eq;
-                sim::Cycle when;
-                bool await_ready() const noexcept { return false; }
-                void
-                await_suspend(std::coroutine_handle<> h) const
-                {
-                    eq.scheduleResumeIn(when - eq.now(), h);
-                }
-                void await_resume() const noexcept {}
-            };
-            mmio_release_ = release;
-            ++mmio_pending_;
-            co_await BoundaryAwait{eq_, release};
-            --mmio_pending_;
-        }
+    sim::Cycle d = f.inject(fault::FaultClass::MmioDelay);
+    if (d)
+        f.chargeCycles(fault::FaultClass::MmioDelay, d);
+    sim::Cycle release = std::max(eq_.now(), mmio_release_) + d;
+    if (release > eq_.now() || mmio_pending_ > 0) {
+        // Suspend even when release == now: earlier ops may still be
+        // parked here with wake events pending later this same cycle,
+        // and sim::delay(0) would never suspend, letting this op barge
+        // past them. A zero-delta resume appends to the current wheel
+        // bucket, so FIFO order across the boundary is preserved.
+        struct BoundaryAwait {
+            sim::EventQueue &eq;
+            sim::Cycle when;
+            bool await_ready() const noexcept { return false; }
+            void
+            await_suspend(std::coroutine_handle<> h) const
+            {
+                eq.scheduleResumeIn(when - eq.now(), h);
+            }
+            void await_resume() const noexcept {}
+        };
+        mmio_release_ = release;
+        ++mmio_pending_;
+        co_await BoundaryAwait{eq_, release};
+        --mmio_pending_;
     }
 }
 
-sim::Task<std::uint64_t>
-Maple::mmioLoad(sim::Addr paddr, unsigned size, sim::ThreadId)
+unsigned
+Maple::mmioQueue(sim::Addr paddr, const char *access) const
 {
-    (void)size;
     unsigned q = decodeQueue(paddr);
-    unsigned raw_op = decodeOp(paddr);
     MAPLE_CHECK(q < queues_.size(), sim::MmioDecodeError,
-                "%s: MMIO load 0x%llx targets nonexistent queue %u (device has %u)",
-                params_.name.c_str(), (unsigned long long)paddr, q,
+                "%s: MMIO %s 0x%llx targets nonexistent queue %u (device has %u)",
+                params_.name.c_str(), access, (unsigned long long)paddr, q,
                 (unsigned)queues_.size());
-    co_await mmioDelay();
+    return q;
+}
 
+sim::Task<std::uint64_t>
+Maple::mmioLoad(sim::Addr paddr, unsigned, sim::ThreadId)
+{
+    unsigned q = mmioQueue(paddr, "load");
+    if (fault::FaultInjector *f = fault::active(eq_))
+        co_await mmioDelay(*f);
+
+    unsigned raw_op = decodeOp(paddr);
     auto op = static_cast<LoadOp>(raw_op);
     if (op == LoadOp::Consume)
         co_return co_await consume(q, /*pair=*/false);
@@ -227,26 +249,22 @@ Maple::mmioLoad(sim::Addr paddr, unsigned size, sim::ThreadId)
 }
 
 sim::Task<void>
-Maple::mmioStore(sim::Addr paddr, std::uint64_t data, unsigned size, sim::ThreadId)
+Maple::mmioStore(sim::Addr paddr, std::uint64_t data, unsigned, sim::ThreadId)
 {
-    (void)size;
-    unsigned q = decodeQueue(paddr);
-    unsigned raw_op = decodeOp(paddr);
-    MAPLE_CHECK(q < queues_.size(), sim::MmioDecodeError,
-                "%s: MMIO store 0x%llx targets nonexistent queue %u (device has %u)",
-                params_.name.c_str(), (unsigned long long)paddr, q,
-                (unsigned)queues_.size());
-    co_await mmioDelay();
+    unsigned q = mmioQueue(paddr, "store");
+    if (fault::FaultInjector *f = fault::active(eq_))
+        co_await mmioDelay(*f);
 
-    switch (static_cast<StoreOp>(raw_op)) {
+    auto op = static_cast<StoreOp>(decodeOp(paddr));
+    switch (op) {
       case StoreOp::ProduceData:
         co_return co_await produceData(q, data);
       case StoreOp::ProducePtr:
-        co_return co_await producePtr(q, data);
+        co_return co_await produceIndirect(q, data, /*amo=*/false);
       case StoreOp::ProduceAmoAdd:
-        co_return co_await produceAmoAdd(q, data);
+        co_return co_await produceIndirect(q, data, /*amo=*/true);
       default:
-        co_return co_await configStore(q, static_cast<StoreOp>(raw_op), data);
+        co_return co_await configStore(q, op, data);
     }
 }
 
@@ -260,39 +278,47 @@ Maple::produceData(unsigned q, std::uint64_t data)
     trace::LaneSpan span(tracer(), tr_produce_, "produce_data",
                          trace::Category::Maple);
     co_await pipeEnter(produce_free_);
-    if (quiesced_[q]) {
-        produce_status_[q] = queue_status_[q] =
-            static_cast<std::uint8_t>(MapleStatus::Quiesced);
+    if (dropIfQuiesced(q, Side::Produce))
         co_return;
-    }
     bumpCounter(Counter::ProducedData);
     if (params_.shared_pipeline_hazard)
         co_await acquirePipeHead();
-    if (co_await pointerlessEnqueueWait(q)) {
-        MapleQueue &queue = queues_[q];
-        ++accept_count_[q];
-        unsigned slot = queue.reserveSlot();
-        queue.fillSlot(slot, data);
+    if (co_await waitForQueue(q, Side::Produce)) {
+        unsigned slot = acceptProduce(q);
+        queues_[q].fillSlot(slot, data);
     }
     if (params_.shared_pipeline_hazard)
         releasePipeHead();
 }
 
 sim::Task<void>
-Maple::producePtr(unsigned q, sim::Addr vaddr)
+Maple::produceIndirect(unsigned q, sim::Addr vaddr, bool amo)
 {
-    trace::LaneSpan span(tracer(), tr_produce_, "produce_ptr",
+    trace::LaneSpan span(tracer(), tr_produce_,
+                         amo ? "produce_amo" : "produce_ptr",
                          trace::Category::Maple);
     co_await pipeEnter(produce_free_);
-    if (quiesced_[q]) {
-        produce_status_[q] = queue_status_[q] =
-            static_cast<std::uint8_t>(MapleStatus::Quiesced);
+    if (dropIfQuiesced(q, Side::Produce))
         co_return;
-    }
     bumpCounter(Counter::ProducedPtrs);
+    co_await acquireProduceBuffer(q);
+    if (params_.shared_pipeline_hazard)
+        co_await acquirePipeHead();
+    // An if, not `co_await (amo ? a : b)`: GCC 12 compiles the conditional
+    // but the Release build crashes in it.
+    if (amo)
+        co_await amoProduceInner(q, vaddr);
+    else
+        co_await pointerProduceInner(q, vaddr);
+    if (params_.shared_pipeline_hazard)
+        releasePipeHead();
+    releaseProduceBuffer(q);
+}
 
-    // Produce buffer: bounded number of produces between decode and issue.
-    sim::Cycle buf_wait_start = eq_.now();
+sim::Task<void>
+Maple::acquireProduceBuffer(unsigned q)
+{
+    sim::Cycle wait_start = eq_.now();
     {
         fault::ParkGuard park(eq_, "produce_buffer", params_.name, q);
         while (produce_inflight_ >= params_.produce_buffer) {
@@ -300,58 +326,73 @@ Maple::producePtr(unsigned q, sim::Addr vaddr)
             co_await wait;
         }
     }
-    if (eq_.now() != buf_wait_start) {
+    if (eq_.now() != wait_start) {
         if (auto *t = tracer()) {
             t->attributeStall(trace::StallCause::ProduceBuffer,
-                              eq_.now() - buf_wait_start);
+                              eq_.now() - wait_start);
         }
     }
     ++produce_inflight_;
     ++produce_inflight_q_[q];
-    if (params_.shared_pipeline_hazard)
-        co_await acquirePipeHead();
-    co_await pointerProduceInner(q, vaddr);
-    if (params_.shared_pipeline_hazard)
-        releasePipeHead();
+}
+
+void
+Maple::releaseProduceBuffer(unsigned q)
+{
     --produce_inflight_;
     --produce_inflight_q_[q];
     sim::Signal wake = std::exchange(produce_buffer_wait_, sim::Signal{});
     wake.set(sim::Unit{});
 }
 
+unsigned
+Maple::acceptProduce(unsigned q)
+{
+    setStatus(q, Side::Produce, MapleStatus::Ok);
+    ++accept_count_[q];
+    return queues_[q].reserveSlot();
+}
+
+bool
+Maple::injectTlbStorm(sim::Addr vaddr)
+{
+    // Injected TLB-miss storm: shoot the translation down first so this
+    // lookup pays a full organic re-walk through the walk port.
+    fault::FaultInjector *f = fault::active(eq_);
+    if (!f || !f->inject(fault::FaultClass::TlbStorm))
+        return false;
+    mmu_.invalidate(vaddr);
+    return true;
+}
+
+void
+Maple::chargeTranslation(bool storm, sim::Cycle start)
+{
+    // A TLB hit completes in zero cycles, so any elapsed time is walk/fault.
+    if (eq_.now() == start)
+        return;
+    if (storm) {
+        if (fault::FaultInjector *f = fault::active(eq_))
+            f->chargeCycles(fault::FaultClass::TlbStorm, eq_.now() - start);
+    } else if (auto *t = tracer()) {
+        t->attributeStall(trace::StallCause::TlbMiss, eq_.now() - start);
+    }
+}
+
 sim::Task<void>
 Maple::pointerProduceInner(unsigned q, sim::Addr vaddr)
 {
-    if (!co_await pointerlessEnqueueWait(q))
+    if (!co_await waitForQueue(q, Side::Produce))
         co_return;  // timed out / aborted: the produce is dropped
     MapleQueue &queue = queues_[q];
-    ++accept_count_[q];
-    unsigned slot = queue.reserveSlot();
+    unsigned slot = acceptProduce(q);
     unsigned generation = queue_generation_[q];
 
-    // Injected TLB-miss storm: shoot the translation down first so this
-    // lookup pays a full organic re-walk through the walk port.
-    bool storm = false;
-    if (fault::FaultInjector *f = fault::active(eq_)) {
-        if (f->inject(fault::FaultClass::TlbStorm)) {
-            mmu_.invalidate(vaddr);
-            storm = true;
-        }
-    }
     // Translate in MAPLE's own MMU (may walk page tables / fault to driver).
-    // A TLB hit completes in zero cycles, so any elapsed time is walk/fault.
+    bool storm = injectTlbStorm(vaddr);
     sim::Cycle xlate_start = eq_.now();
     mem::Translation tr = co_await mmu_.translate(vaddr, /*write=*/false);
-    if (eq_.now() != xlate_start) {
-        if (storm) {
-            if (fault::FaultInjector *f = fault::active(eq_))
-                f->chargeCycles(fault::FaultClass::TlbStorm,
-                                eq_.now() - xlate_start);
-        } else if (auto *t = tracer()) {
-            t->attributeStall(trace::StallCause::TlbMiss,
-                              eq_.now() - xlate_start);
-        }
-    }
+    chargeTranslation(storm, xlate_start);
     if (tr.fault) {
         MAPLE_WARN("%s: unresolved fault for va 0x%llx; poisoning slot",
                    params_.name.c_str(), (unsigned long long)vaddr);
@@ -381,17 +422,23 @@ Maple::pointerProduceInner(unsigned q, sim::Addr vaddr)
 }
 
 sim::Task<bool>
-Maple::pointerlessEnqueueWait(unsigned q)
+Maple::waitForQueue(unsigned q, Side side, unsigned n)
 {
     MapleQueue &queue = queues_[q];
-    MAPLE_CHECK(queue.configured(), sim::QueueMisuseError,
-                "%s: produce to unconfigured queue %u", params_.name.c_str(), q);
+    const bool produce = side == Side::Produce;
+    if (produce) {
+        MAPLE_CHECK(queue.configured(), sim::QueueMisuseError,
+                    "%s: produce to unconfigured queue %u",
+                    params_.name.c_str(), q);
+    }
+    auto ready = [&] { return produce ? !queue.full() : queue.headValid(n); };
     sim::Cycle wait_start = eq_.now();
     const unsigned abort_epoch = queue_abort_epoch_[q];
     bool timed_out = false;
     {
-        fault::ParkGuard park(eq_, "produce_full", params_.name, q);
-        while (queue.full() && queue_abort_epoch_[q] == abort_epoch) {
+        fault::ParkGuard park(eq_, produce ? "produce_full" : "consume_empty",
+                              params_.name, q);
+        while (!ready() && queue_abort_epoch_[q] == abort_epoch) {
             // Re-read the bound every wakeup: the recovery driver re-arms
             // QueueTimeout (a reconfigure zeroes it) while ops are parked
             // here, and the new bound must take effect on them — a produce
@@ -399,11 +446,12 @@ Maple::pointerlessEnqueueWait(unsigned q)
             // the in-flight count up and deadlock the recovery drain.
             const sim::Cycle timeout = queue_timeout_[q];
             if (timeout == 0) {
-                sim::Signal wait = queue.spaceSignal();
+                sim::Signal wait =
+                    produce ? queue.spaceSignal() : queue.dataSignal();
                 co_await wait;
             } else {
                 // Timed wait: the hardware timeout counter ticks every
-                // cycle until space frees or the bound is hit.
+                // cycle until the queue is ready or the bound is hit.
                 if (eq_.now() >= wait_start + timeout) {
                     timed_out = true;
                     break;
@@ -413,27 +461,27 @@ Maple::pointerlessEnqueueWait(unsigned q)
         }
     }
     if (eq_.now() != wait_start) {
-        bumpCounter(Counter::FullStallCycles, eq_.now() - wait_start);
+        bumpCounter(produce ? Counter::FullStallCycles
+                            : Counter::EmptyStallCycles,
+                    eq_.now() - wait_start);
         if (auto *t = tracer()) {
-            t->attributeStall(trace::StallCause::QueueFull,
+            t->attributeStall(produce ? trace::StallCause::QueueFull
+                                      : trace::StallCause::QueueEmpty,
                               eq_.now() - wait_start);
         }
     }
     if (queue_abort_epoch_[q] != abort_epoch) {
-        // DeviceReset hit the queue while this produce was parked: unwind
-        // without touching the rebuilt queue.
-        produce_status_[q] = queue_status_[q] =
-            static_cast<std::uint8_t>(MapleStatus::Aborted);
+        // DeviceReset hit the queue while this op was parked: unwind without
+        // touching the rebuilt queue (a consume's entry went with the
+        // dropped contents).
+        setStatus(q, side, MapleStatus::Aborted);
         co_return false;
     }
     if (timed_out) {
-        produce_status_[q] = queue_status_[q] =
-            static_cast<std::uint8_t>(MapleStatus::TimedOut);
+        setStatus(q, side, MapleStatus::TimedOut);
         bumpCounter(Counter::TimedOutOps);
         co_return false;
     }
-    produce_status_[q] = queue_status_[q] =
-        static_cast<std::uint8_t>(MapleStatus::Ok);
     co_return true;
 }
 
@@ -485,71 +533,22 @@ Maple::fetchIntoSlot(unsigned q, unsigned generation, unsigned slot,
 }
 
 sim::Task<void>
-Maple::produceAmoAdd(unsigned q, sim::Addr vaddr)
+Maple::amoProduceInner(unsigned q, sim::Addr vaddr)
 {
-    trace::LaneSpan span(tracer(), tr_produce_, "produce_amo",
-                         trace::Category::Maple);
-    co_await pipeEnter(produce_free_);
-    if (quiesced_[q]) {
-        produce_status_[q] = queue_status_[q] =
-            static_cast<std::uint8_t>(MapleStatus::Quiesced);
-        co_return;
-    }
-    bumpCounter(Counter::ProducedPtrs);
-
-    sim::Cycle buf_wait_start = eq_.now();
-    {
-        fault::ParkGuard park(eq_, "produce_buffer", params_.name, q);
-        while (produce_inflight_ >= params_.produce_buffer) {
-            sim::Signal wait = produce_buffer_wait_;
-            co_await wait;
-        }
-    }
-    if (eq_.now() != buf_wait_start) {
-        if (auto *t = tracer()) {
-            t->attributeStall(trace::StallCause::ProduceBuffer,
-                              eq_.now() - buf_wait_start);
-        }
-    }
-    ++produce_inflight_;
-    ++produce_inflight_q_[q];
-    if (!co_await pointerlessEnqueueWait(q)) {
-        // Timed out waiting for space: drop the op, but release the buffer
-        // slot so later produces are not starved by a dead one.
-        --produce_inflight_;
-        --produce_inflight_q_[q];
-        sim::Signal timeout_wake = std::exchange(produce_buffer_wait_, sim::Signal{});
-        timeout_wake.set(sim::Unit{});
-        co_return;
-    }
+    if (!co_await waitForQueue(q, Side::Produce))
+        co_return;  // timed out / aborted: the op is dropped
     MapleQueue &queue = queues_[q];
-    ++accept_count_[q];
-    unsigned slot = queue.reserveSlot();
+    unsigned slot = acceptProduce(q);
     unsigned generation = queue_generation_[q];
     // Take a commit ticket at reservation time: translations can complete
     // out of order (page walks to the same table line merge and resume in
     // arbitrary order), but RMWs must linearize in program order or the
     // old-value FIFO contract breaks.
     std::uint64_t ticket = amo_seq_alloc_[q]++;
-    bool storm = false;
-    if (fault::FaultInjector *f = fault::active(eq_)) {
-        if (f->inject(fault::FaultClass::TlbStorm)) {
-            mmu_.invalidate(vaddr);
-            storm = true;
-        }
-    }
+    bool storm = injectTlbStorm(vaddr);
     sim::Cycle xlate_start = eq_.now();
     mem::Translation tr = co_await mmu_.translate(vaddr, /*write=*/true);
-    if (eq_.now() != xlate_start) {
-        if (storm) {
-            if (fault::FaultInjector *f = fault::active(eq_))
-                f->chargeCycles(fault::FaultClass::TlbStorm,
-                                eq_.now() - xlate_start);
-        } else if (auto *t = tracer()) {
-            t->attributeStall(trace::StallCause::TlbMiss,
-                              eq_.now() - xlate_start);
-        }
-    }
+    chargeTranslation(storm, xlate_start);
     {
         fault::ParkGuard park(eq_, "amo_commit", params_.name, q);
         while (amo_seq_commit_[q] != ticket) {
@@ -574,10 +573,6 @@ Maple::produceAmoAdd(unsigned q, sim::Addr vaddr)
     ++amo_seq_commit_[q];
     sim::Signal commit_wake = std::exchange(amo_commit_wait_, sim::Signal{});
     commit_wake.set(sim::Unit{});
-    --produce_inflight_;
-    --produce_inflight_q_[q];
-    sim::Signal wake = std::exchange(produce_buffer_wait_, sim::Signal{});
-    wake.set(sim::Unit{});
 }
 
 sim::Task<void>
@@ -603,6 +598,30 @@ Maple::amoIntoSlot(unsigned q, unsigned generation, unsigned slot,
 // Consume pipeline
 // ---------------------------------------------------------------------------
 
+std::uint64_t
+Maple::popHead(unsigned q, unsigned n)
+{
+    MapleQueue &queue = queues_[q];
+    if (queue.headPoisoned(n)) {
+        // Surface poison, not data -- and leave the entries at the head, so
+        // the queue wedges until a DeviceReset. Popping here would free a
+        // slot and let a parked produce slip in, pushing the accepted-but-
+        // undelivered window past the queue capacity; the driver's recovery
+        // replay depends on that window always fitting the reset queue.
+        setStatus(q, Side::Consume, MapleStatus::Poisoned);
+        bumpCounter(Counter::PoisonedResponses);
+        return 0;
+    }
+    std::uint64_t value = queue.pop();
+    if (n == 2)
+        value |= queue.pop() << 32;
+    bumpCounter(Counter::Consumed, n);
+    setStatus(q, Side::Consume, MapleStatus::Ok);
+    occupancy_at_consume_.sample(queue.occupancy());
+    consume_occupancy_.sample(queue.occupancy());
+    return value;
+}
+
 sim::Task<std::uint64_t>
 Maple::consume(unsigned q, bool pair)
 {
@@ -613,14 +632,11 @@ Maple::consume(unsigned q, bool pair)
     // produces -- including produces parked on a full queue (deadlock).
     co_await pipeEnter(params_.shared_pipeline_hazard ? produce_free_
                                                       : consume_free_);
-    if (quiesced_[q]) {
-        consume_status_[q] = queue_status_[q] =
-            static_cast<std::uint8_t>(MapleStatus::Quiesced);
+    if (dropIfQuiesced(q, Side::Consume))
         co_return 0;
-    }
     if (params_.shared_pipeline_hazard)
         co_await acquirePipeHead();
-    MapleQueue &queue = queues_[q];
+    const MapleQueue &queue = queues_[q];
     MAPLE_CHECK(queue.configured(), sim::QueueMisuseError,
                 "%s: consume from unconfigured queue %u", params_.name.c_str(),
                 q);
@@ -630,76 +646,12 @@ Maple::consume(unsigned q, bool pair)
                     "%uB)",
                     params_.name.c_str(), q, queue.entryBytes());
     }
-
-    const unsigned needed = pair ? 2 : 1;
-    sim::Cycle wait_start = eq_.now();
-    const unsigned abort_epoch = queue_abort_epoch_[q];
-    bool timed_out = false;
-    {
-        fault::ParkGuard park(eq_, "consume_empty", params_.name, q);
-        while (!queue.headValid(needed) &&
-               queue_abort_epoch_[q] == abort_epoch) {
-            // Re-read the bound every wakeup (see pointerlessEnqueueWait):
-            // a QueueTimeout store must take effect on parked consumes too.
-            const sim::Cycle timeout = queue_timeout_[q];
-            if (timeout == 0) {
-                sim::Signal wait = queue.dataSignal();
-                co_await wait;
-            } else {
-                if (eq_.now() >= wait_start + timeout) {
-                    timed_out = true;
-                    break;
-                }
-                co_await sim::delay(eq_, 1);
-            }
-        }
-    }
-    if (eq_.now() != wait_start) {
-        bumpCounter(Counter::EmptyStallCycles, eq_.now() - wait_start);
-        if (auto *t = tracer()) {
-            t->attributeStall(trace::StallCause::QueueEmpty,
-                              eq_.now() - wait_start);
-        }
-    }
-    if (queue_abort_epoch_[q] != abort_epoch) {
-        // DeviceReset unwound this parked consume: the entry it was waiting
-        // for was dropped with the queue contents.
-        consume_status_[q] = queue_status_[q] =
-            static_cast<std::uint8_t>(MapleStatus::Aborted);
-        if (params_.shared_pipeline_hazard)
-            releasePipeHead();
-        co_return 0;
-    }
-    if (timed_out) {
-        consume_status_[q] = queue_status_[q] =
-            static_cast<std::uint8_t>(MapleStatus::TimedOut);
-        bumpCounter(Counter::TimedOutOps);
-        if (params_.shared_pipeline_hazard)
-            releasePipeHead();
-        co_return 0;  // software reads QueueStatus to distinguish from data
-    }
-    if (queue.headPoisoned(needed)) {
-        // Surface poison, not data -- and leave the entries at the head, so
-        // the queue wedges until a DeviceReset. Popping here would free a
-        // slot and let a parked produce slip in, pushing the accepted-but-
-        // undelivered window past the queue capacity; the driver's recovery
-        // replay depends on that window always fitting the reset queue.
-        consume_status_[q] = queue_status_[q] =
-            static_cast<std::uint8_t>(MapleStatus::Poisoned);
-        bumpCounter(Counter::PoisonedResponses);
-        if (params_.shared_pipeline_hazard)
-            releasePipeHead();
-        co_return 0;
-    }
-
-    std::uint64_t value = queue.pop();
-    if (pair)
-        value |= queue.pop() << 32;
-    bumpCounter(Counter::Consumed, needed);
-    consume_status_[q] = queue_status_[q] =
-        static_cast<std::uint8_t>(MapleStatus::Ok);
-    occupancy_at_consume_.sample(queue.occupancy());
-    consume_occupancy_.sample(queue.occupancy());
+    // A dropped consume returns 0; software reads the status register to
+    // tell it from data.
+    const unsigned n = pair ? 2 : 1;
+    std::uint64_t value = 0;
+    if (co_await waitForQueue(q, Side::Consume, n))
+        value = popHead(q, n);
     if (params_.shared_pipeline_hazard)
         releasePipeHead();
     co_return value;
@@ -712,33 +664,16 @@ Maple::consumePoll(unsigned q)
                          trace::Category::Maple);
     co_await pipeEnter(params_.shared_pipeline_hazard ? produce_free_
                                                       : consume_free_);
-    if (quiesced_[q]) {
-        consume_status_[q] = queue_status_[q] =
-            static_cast<std::uint8_t>(MapleStatus::Quiesced);
+    if (dropIfQuiesced(q, Side::Consume))
         co_return 0;
-    }
-    MapleQueue &queue = queues_[q];
+    const MapleQueue &queue = queues_[q];
     // Polling an unconfigured queue is not misuse: report Empty so software
     // spin loops degrade gracefully instead of crashing the device model.
     if (!queue.configured() || !queue.headValid(1)) {
-        consume_status_[q] = queue_status_[q] =
-            static_cast<std::uint8_t>(MapleStatus::Empty);
+        setStatus(q, Side::Consume, MapleStatus::Empty);
         co_return 0;
     }
-    if (queue.headPoisoned(1)) {
-        // Same wedge-until-reset contract as the blocking consume above.
-        consume_status_[q] = queue_status_[q] =
-            static_cast<std::uint8_t>(MapleStatus::Poisoned);
-        bumpCounter(Counter::PoisonedResponses);
-        co_return 0;
-    }
-    std::uint64_t value = queue.pop();
-    bumpCounter(Counter::Consumed);
-    consume_status_[q] = queue_status_[q] =
-        static_cast<std::uint8_t>(MapleStatus::Ok);
-    occupancy_at_consume_.sample(queue.occupancy());
-    consume_occupancy_.sample(queue.occupancy());
-    co_return value;
+    co_return popHead(q, 1);
 }
 
 // ---------------------------------------------------------------------------

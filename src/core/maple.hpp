@@ -166,31 +166,65 @@ class Maple : public soc::MmioDevice {
         LimaControl ctrl;
     };
 
+    /** The two queue-facing pipelines, each with its own status register. */
+    enum class Side { Produce, Consume };
+
     /// @name Pipeline front-ends
     /// @{
     sim::Task<void> produceData(unsigned q, std::uint64_t data);
-    sim::Task<void> producePtr(unsigned q, sim::Addr vaddr);
+    /** PRODUCE_PTR (@p amo false) and PRODUCE_AMO_ADD (@p amo true). */
+    sim::Task<void> produceIndirect(unsigned q, sim::Addr vaddr, bool amo);
     sim::Task<std::uint64_t> consume(unsigned q, bool pair);
     sim::Task<std::uint64_t> consumePoll(unsigned q);
     sim::Task<void> configStore(unsigned q, StoreOp op, std::uint64_t data);
     sim::Task<std::uint64_t> configLoad(unsigned q, LoadOp op, unsigned raw_op);
     /// @}
 
+    /** Queue an MMIO "load"/"store" addresses; throws if there is none. */
+    unsigned mmioQueue(sim::Addr paddr, const char *access) const;
+
     /** Reserve + translate + issue fetch for one pointer (produce & LIMA). */
     sim::Task<void> pointerProduceInner(unsigned q, sim::Addr vaddr);
 
     /** Extension: remote fetch-and-add; old value fills the queue slot. */
-    sim::Task<void> produceAmoAdd(unsigned q, sim::Addr vaddr);
+    sim::Task<void> amoProduceInner(unsigned q, sim::Addr vaddr);
     sim::Task<void> amoIntoSlot(unsigned q, unsigned generation, unsigned slot,
                                 sim::Addr paddr, std::uint64_t old_value,
                                 unsigned bytes);
 
     /**
-     * Wait until queue @p q has a free slot, counting full-stall cycles.
-     * Honors the queue's timeout register: returns false when the wait hit
-     * the bound (the produce is dropped, status = TimedOut).
+     * The queue controller's wait: until queue @p q has a free slot
+     * (Produce) or @p n valid head entries (Consume), charging the side's
+     * stall cycles. Honors the queue's timeout register, re-read on every
+     * wakeup. Returns false when the op must be dropped: the wait hit the
+     * bound (status TimedOut) or a DeviceReset aborted it (status Aborted).
      */
-    sim::Task<bool> pointerlessEnqueueWait(unsigned q);
+    sim::Task<bool> waitForQueue(unsigned q, Side side, unsigned n = 1);
+
+    /** Write @p s to queue @p q's status register and @p side's copy. */
+    void setStatus(unsigned q, Side side, MapleStatus s);
+
+    /** True (status Quiesced) when queue @p q is quiesced: drop the op. */
+    bool dropIfQuiesced(unsigned q, Side side);
+
+    /** Accept a produce after its wait: status Ok, AcceptCount, slot. */
+    unsigned acceptProduce(unsigned q);
+
+    /** Pop @p n (1 or 2) entries of queue @p q, or 0 with status Poisoned. */
+    std::uint64_t popHead(unsigned q, unsigned n);
+
+    /// @name Produce buffer: bounded produces between decode and issue
+    /// @{
+    sim::Task<void> acquireProduceBuffer(unsigned q);
+    void releaseProduceBuffer(unsigned q);
+    /// @}
+
+    /// @name Around a produce's `co_await mmu_.translate(...)`: the injected
+    /// TLB storm before it, the walk's stall charge after it.
+    /// @{
+    bool injectTlbStorm(sim::Addr vaddr);
+    void chargeTranslation(bool storm, sim::Cycle start);
+    /// @}
 
     /** Background fill of a reserved slot from memory. */
     sim::Task<void> fetchIntoSlot(unsigned q, unsigned generation, unsigned slot,
@@ -203,8 +237,11 @@ class Maple : public soc::MmioDevice {
     sim::Task<void> limaWorker();
     sim::Task<void> limaOne(const LimaCmd &cmd);
 
-    /** Occupy a pipeline issue slot (II=1) then traverse it. */
-    sim::Task<void> pipeEnter(sim::Cycle &next_free);
+    /**
+     * Occupy a pipeline issue slot (II=1); returns the traversal's Delay,
+     * which the caller awaits in the same expression.
+     */
+    sim::Delay pipeEnter(sim::Cycle &next_free);
 
     /**
      * Latch a hard fault into queue @p q's architectural error registers
@@ -215,8 +252,8 @@ class Maple : public soc::MmioDevice {
     /** StoreOp::DeviceReset backend: see the ISA comment for semantics. */
     void deviceReset(unsigned q);
 
-    /** Injected delayed-MMIO-response fault (no-op when faults are off). */
-    sim::Task<void> mmioDelay();
+    /** Injected delayed-MMIO-response fault; called only when injecting. */
+    sim::Task<void> mmioDelay(fault::FaultInjector &f);
 
     /// @name Shared-pipeline ablation: a parked op occupies the pipe head,
     /// blocking every op behind it (the head-of-line hazard the real design

@@ -50,6 +50,42 @@ nextFrontier(const BfsSim &s, const LevelState &ls, std::uint64_t i)
     return ls.cur_is_a ? s.frontier_b.addr(i) : s.frontier_a.addr(i);
 }
 
+/** [begin, end) of frontier vertex @p i's adjacency: three loads. */
+struct EdgeRange {
+    std::uint32_t begin, end;
+};
+
+sim::Task<EdgeRange>
+edgeRange(cpu::Core &core, const BfsSim &s, const LevelState &ls,
+          std::uint64_t i)
+{
+    auto u = static_cast<std::uint32_t>(
+        co_await core.load(curFrontier(s, ls, i), 4));
+    auto jb = static_cast<std::uint32_t>(
+        co_await core.load(s.g.row_ptr.addr(u), 4));
+    auto je = static_cast<std::uint32_t>(
+        co_await core.load(s.g.row_ptr.addr(u + 1), 4));
+    co_return EdgeRange{jb, je};
+}
+
+/** Append @p v to the next frontier at an atomically claimed index. */
+sim::Task<void>
+appendNext(cpu::Core &core, const BfsSim &s, const LevelState &ls,
+           std::uint32_t v)
+{
+    std::uint64_t idx = co_await core.amoAdd(s.next_tail, 1, 8);
+    co_await core.store(nextFrontier(s, ls, idx), v, 4);
+}
+
+/** Discovery of @p v: its distance is the next level, and it is appended. */
+sim::Task<void>
+discover(cpu::Core &core, const BfsSim &s, const LevelState &ls,
+         std::uint32_t v)
+{
+    co_await core.store(s.dist.addr(v), ls.level + 1, 4);
+    co_await appendNext(core, s, ls, v);
+}
+
 /** Thread-0 bookkeeping between levels (runs between the two barriers). */
 sim::Task<void>
 advanceLevel(cpu::Core &core, BfsSim &s, LevelState &ls)
@@ -73,12 +109,7 @@ expandChunk(cpu::Core &core, BfsSim &s, LevelState &ls, Chunk chunk,
             FetchDist &fetch_dist, unsigned sw_prefetch_dist)
 {
     for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
-        auto u = static_cast<std::uint32_t>(
-            co_await core.load(curFrontier(s, ls, i), 4));
-        auto jb = static_cast<std::uint32_t>(
-            co_await core.load(s.g.row_ptr.addr(u), 4));
-        auto je = static_cast<std::uint32_t>(
-            co_await core.load(s.g.row_ptr.addr(u + 1), 4));
+        auto [jb, je] = co_await edgeRange(core, s, ls, i);
         for (std::uint32_t j = jb; j < je; ++j) {
             if (sw_prefetch_dist && j + sw_prefetch_dist < je) {
                 auto vd = static_cast<std::uint32_t>(co_await core.load(
@@ -90,11 +121,8 @@ expandChunk(cpu::Core &core, BfsSim &s, LevelState &ls, Chunk chunk,
                 co_await core.load(s.g.col_idx.addr(j), 4));
             auto dv = static_cast<std::uint32_t>(co_await fetch_dist(core, v));
             co_await core.compute(1);
-            if (dv == kInf) {
-                co_await core.store(s.dist.addr(v), ls.level + 1, 4);
-                std::uint64_t idx = co_await core.amoAdd(s.next_tail, 1, 8);
-                co_await core.store(nextFrontier(s, ls, idx), v, 4);
-            }
+            if (dv == kInf)
+                co_await discover(core, s, ls, v);
         }
     }
 }
@@ -138,12 +166,7 @@ accessWorker(cpu::Core &core, BfsSim &s, LevelState &ls, sim::Barrier &bar,
     while (ls.count > 0) {
         Chunk chunk = chunkOf(ls.count, pair, pairs);
         for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
-            auto u = static_cast<std::uint32_t>(
-                co_await core.load(curFrontier(s, ls, i), 4));
-            auto jb = static_cast<std::uint32_t>(
-                co_await core.load(s.g.row_ptr.addr(u), 4));
-            auto je = static_cast<std::uint32_t>(
-                co_await core.load(s.g.row_ptr.addr(u + 1), 4));
+            auto [jb, je] = co_await edgeRange(core, s, ls, i);
             for (std::uint32_t j = jb; j < je; ++j) {
                 auto v = static_cast<std::uint32_t>(
                     co_await core.load(s.g.col_idx.addr(j), 4));
@@ -177,12 +200,7 @@ descSupply(sim::EventQueue &eq, cpu::Core &core, BfsSim &s, LevelState &ls,
         Chunk chunk = chunkOf(ls.count, pair, pairs);
         std::uint64_t produced_edges = 0;
         for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
-            auto u = static_cast<std::uint32_t>(
-                co_await core.load(curFrontier(s, ls, i), 4));
-            auto jb = static_cast<std::uint32_t>(
-                co_await core.load(s.g.row_ptr.addr(u), 4));
-            auto je = static_cast<std::uint32_t>(
-                co_await core.load(s.g.row_ptr.addr(u + 1), 4));
+            auto [jb, je] = co_await edgeRange(core, s, ls, i);
             co_await dq.produceValue(core, je - jb);
             for (std::uint32_t j = jb; j < je; ++j) {
                 auto v = static_cast<std::uint32_t>(
@@ -233,8 +251,7 @@ drainDescStores(cpu::Core &core, BfsSim &s, LevelState &ls,
         sim::Addr dist0 = s.dist.addr(0);
         if (st->first >= dist0 && st->first < s.dist.addr(s.vertices)) {
             auto v = static_cast<std::uint32_t>((st->first - dist0) / 4);
-            std::uint64_t idx = co_await core.amoAdd(s.next_tail, 1, 8);
-            co_await core.store(nextFrontier(s, ls, idx), v, 4);
+            co_await appendNext(core, s, ls, v);
         }
     } while (all);
     co_return any;
@@ -294,23 +311,15 @@ limaWorker(cpu::Core &core, BfsSim &s, LevelState &ls, sim::Barrier &bar,
                 queued_elems += co_await issueLima(core, s, ls, api, q, issued);
                 ++issued;
             }
-            auto u = static_cast<std::uint32_t>(
-                co_await core.load(curFrontier(s, ls, i), 4));
-            auto jb = static_cast<std::uint32_t>(
-                co_await core.load(s.g.row_ptr.addr(u), 4));
-            auto je = static_cast<std::uint32_t>(
-                co_await core.load(s.g.row_ptr.addr(u + 1), 4));
+            auto [jb, je] = co_await edgeRange(core, s, ls, i);
             for (std::uint32_t j = jb; j < je; ++j) {
                 auto v = static_cast<std::uint32_t>(
                     co_await core.load(s.g.col_idx.addr(j), 4));
                 auto dv = static_cast<std::uint32_t>(co_await api.consume(core, q));
                 ++consumed;
                 co_await core.compute(1);
-                if (dv == kInf) {
-                    co_await core.store(s.dist.addr(v), ls.level + 1, 4);
-                    std::uint64_t idx = co_await core.amoAdd(s.next_tail, 1, 8);
-                    co_await core.store(nextFrontier(s, ls, idx), v, 4);
-                }
+                if (dv == kInf)
+                    co_await discover(core, s, ls, v);
             }
         }
         MAPLE_ASSERT(consumed == queued_elems, "LIMA stream drift");
@@ -326,11 +335,7 @@ sim::Task<std::uint64_t>
 issueLima(cpu::Core &core, BfsSim &s, LevelState &ls, core::MapleApi &api,
           unsigned q, std::uint64_t i)
 {
-    auto u = static_cast<std::uint32_t>(
-        co_await core.load(curFrontier(s, ls, i), 4));
-    auto jb = static_cast<std::uint32_t>(co_await core.load(s.g.row_ptr.addr(u), 4));
-    auto je = static_cast<std::uint32_t>(
-        co_await core.load(s.g.row_ptr.addr(u + 1), 4));
+    auto [jb, je] = co_await edgeRange(core, s, ls, i);
     if (je > jb) {
         core::LimaRequest req;
         req.a_base = s.dist.addr(0);

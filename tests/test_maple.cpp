@@ -27,6 +27,7 @@ using namespace maple;
 using core::Counter;
 using core::LimaRequest;
 using core::MapleApi;
+using core::StoreOp;
 
 namespace {
 
@@ -239,39 +240,52 @@ TEST(Maple, SharedPipelineAblationDeadlocks)
     // design; they are not reclaimable, so exempt them from LeakSanitizer.
     __lsan::ScopedDisabler no_leak_check;
 #endif
-    soc::SocConfig cfg = soc::SocConfig::fpga();
-    cfg.maple_proto.shared_pipeline_hazard = true;
-    Fixture f(cfg);
+    // Once per produce kind: data, pointer and AMO produces all hold the
+    // shared pipe head while parked on a full queue.
+    for (StoreOp kind :
+         {StoreOp::ProduceData, StoreOp::ProducePtr, StoreOp::ProduceAmoAdd}) {
+        SCOPED_TRACE(static_cast<unsigned>(kind));
+        soc::SocConfig cfg = soc::SocConfig::fpga();
+        cfg.maple_proto.shared_pipeline_hazard = true;
+        Fixture f(cfg);
+        const sim::Addr a = f.proc.alloc(8, "A");
 
-    auto driver = [&](cpu::Core &c) -> sim::Task<void> {
-        co_await f.api.init(c, 1, 2, 8);
-        EXPECT_TRUE(co_await f.api.open(c, 0));
-        for (int i = 0; i < 3; ++i)  // 3rd produce parks on the full queue
-            co_await f.api.produce(c, 0, i);
-        co_await c.storeFence();  // wait for the parked produce's ack
-    };
-    auto consumer = [&](cpu::Core &c) -> sim::Task<void> {
-        co_await sim::delay(f.soc.eq(), 3000);
-        // With a single shared pipeline this consume serializes *behind* the
-        // parked produce and can never free the space it is waiting for.
-        (void)co_await f.api.consume(c, 0);
-    };
+        auto driver = [&](cpu::Core &c) -> sim::Task<void> {
+            co_await f.api.init(c, 1, 2, 8);
+            EXPECT_TRUE(co_await f.api.open(c, 0));
+            co_await f.api.produce(c, 0, 0);
+            co_await f.api.produce(c, 0, 1);
+            // The 3rd produce parks on the full queue.
+            co_await c.store(core::encodeStore(f.api.base(), 0, kind),
+                             kind == StoreOp::ProduceData ? 2 : a);
+            co_await c.storeFence();  // wait for the parked produce's ack
+        };
+        auto consumer = [&](cpu::Core &c) -> sim::Task<void> {
+            co_await sim::delay(f.soc.eq(), 3000);
+            // With a single shared pipeline this consume serializes *behind*
+            // the parked produce and can never free the space it is waiting
+            // for.
+            (void)co_await f.api.consume(c, 0);
+        };
 
-    sim::Join j1 = sim::spawn(driver(f.soc.core(0)));
-    sim::Join j2 = sim::spawn(consumer(f.soc.core(1)));
-    // Deadlock: the event queue drains with both tasks incomplete, which the
-    // liveness machinery converts into a typed, catchable error whose report
-    // names the parked waiters (instead of the pre-watchdog silent hang).
-    try {
-        f.soc.run({j1, j2}, 2'000'000);
-        FAIL() << "expected sim::DeadlockError";
-    } catch (const sim::DeadlockError &e) {
-        EXPECT_NE(std::string(e.report()).find("pipe_head"), std::string::npos)
-            << e.report();
+        sim::Join j1 = sim::spawn(driver(f.soc.core(0)));
+        sim::Join j2 = sim::spawn(consumer(f.soc.core(1)));
+        // Deadlock: the event queue drains with both tasks incomplete, which
+        // the liveness machinery converts into a typed, catchable error whose
+        // report names the parked waiters (instead of the pre-watchdog silent
+        // hang).
+        try {
+            f.soc.run({j1, j2}, 2'000'000);
+            ADD_FAILURE() << "expected sim::DeadlockError";
+        } catch (const sim::DeadlockError &e) {
+            EXPECT_NE(std::string(e.report()).find("pipe_head"),
+                      std::string::npos)
+                << e.report();
+        }
+        EXPECT_TRUE(f.soc.eq().empty());
+        EXPECT_FALSE(j1.done());
+        EXPECT_FALSE(j2.done());
     }
-    EXPECT_TRUE(f.soc.eq().empty());
-    EXPECT_FALSE(j1.done());
-    EXPECT_FALSE(j2.done());
 }
 
 TEST(Maple, ConsumePairPacksTwo32BitEntries)

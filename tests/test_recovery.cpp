@@ -484,6 +484,97 @@ TEST(TimedOps, ArmingTimeoutUnparksFullQueueProduce)
     EXPECT_TRUE(produced);
 }
 
+TEST(TimedOps, EveryQueueOpLeavesTheWaitAlike)
+{
+    // Every produce kind meets a full 2-entry queue and every consume kind
+    // an empty one. Each leaves by each exit: the bound, a quiesce (dropped
+    // before it waits), or a DeviceReset from core 1 while it is parked.
+    enum class Op { Data, Ptr, Amo, Consume, ConsumePair };
+    enum class Exit { TimedOut, Quiesced, Aborted };
+    const char *const op_names[] = {"data", "ptr", "amo", "consume",
+                                    "consume_pair"};
+    const char *const exit_names[] = {"timed_out", "quiesced", "aborted"};
+    for (Op op : {Op::Data, Op::Ptr, Op::Amo, Op::Consume, Op::ConsumePair}) {
+        for (Exit exit : {Exit::TimedOut, Exit::Quiesced, Exit::Aborted}) {
+            SCOPED_TRACE(std::string(op_names[static_cast<int>(op)]) + " / " +
+                         exit_names[static_cast<int>(exit)]);
+            Fixture f;
+            const bool produce = op == Op::Data || op == Op::Ptr || op == Op::Amo;
+            const sim::Addr base = f.api.base();
+            const sim::Addr target = f.proc.alloc(8, "target");
+            f.proc.writeScalar<std::uint64_t>(target, 7);
+            bool done = false;
+            auto t = [&](cpu::Core &c) -> sim::Task<void> {
+                co_await f.api.init(c, 1, 2, 4);
+                EXPECT_TRUE(co_await f.api.open(c, 0));
+                co_await f.api.setAmoAddend(c, 0, 5);
+                if (produce) {
+                    co_await f.api.produce(c, 0, 1);
+                    co_await f.api.produce(c, 0, 2);
+                }
+                if (exit == Exit::TimedOut)
+                    co_await f.api.setQueueTimeout(c, 0, 500);
+                if (exit == Exit::Quiesced)
+                    co_await c.store(core::encodeStore(base, 0, StoreOp::Quiesce), 1);
+                co_await c.storeFence();
+
+                std::uint64_t got = 0;
+                switch (op) {
+                  case Op::Data:
+                    co_await f.api.produce(c, 0, 3);
+                    break;
+                  case Op::Ptr:
+                    co_await f.api.producePtr(c, 0, target);
+                    break;
+                  case Op::Amo:
+                    co_await f.api.produceAmoAdd(c, 0, target);
+                    break;
+                  case Op::Consume:
+                    got = co_await f.api.consume(c, 0);
+                    break;
+                  case Op::ConsumePair:
+                    got = co_await f.api.consumePair(c, 0);
+                    break;
+                }
+                co_await c.storeFence();  // a produce has left the wait
+
+                const MapleStatus want = exit == Exit::TimedOut ? MapleStatus::TimedOut
+                    : exit == Exit::Quiesced                    ? MapleStatus::Quiesced
+                                                                : MapleStatus::Aborted;
+                const LoadOp status =
+                    produce ? LoadOp::ProduceStatus : LoadOp::ConsumeStatus;
+                EXPECT_EQ(co_await c.load(core::encodeLoad(base, 0, status)),
+                          static_cast<std::uint64_t>(want));
+                EXPECT_EQ(got, 0u);
+                EXPECT_EQ(co_await f.api.readCounter(c, Counter::TimedOutOps),
+                          exit == Exit::TimedOut ? 1u : 0u);
+                // Only an op that reached the wait charges stall cycles.
+                const Counter stall =
+                    produce ? Counter::FullStallCycles : Counter::EmptyStallCycles;
+                EXPECT_EQ(co_await f.api.readCounter(c, stall) > 0,
+                          exit != Exit::Quiesced);
+                EXPECT_EQ(f.soc.maple().produceInflight(), 0u);
+                EXPECT_EQ(co_await f.api.occupancy(c, 0),
+                          produce && exit != Exit::Aborted ? 2u : 0u);
+                EXPECT_EQ(f.proc.readScalar<std::uint64_t>(target), 7u);
+                done = true;
+            };
+            auto resetter = [&](cpu::Core &c) -> sim::Task<void> {
+                if (exit != Exit::Aborted)
+                    co_return;
+                co_await sim::delay(f.soc.eq(), 20'000);
+                co_await c.store(core::encodeStore(base, 0, StoreOp::DeviceReset), 0);
+                co_await c.storeFence();
+            };
+            std::vector<sim::Join> joins;
+            joins.push_back(sim::spawn(t(f.soc.core(0))));
+            joins.push_back(sim::spawn(resetter(f.soc.core(1))));
+            f.soc.run(std::move(joins), 10'000'000);
+            EXPECT_TRUE(done);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Watchdog owner masking (degraded devices leave the parked accounting)
 // ---------------------------------------------------------------------------

@@ -85,10 +85,8 @@ class DescQueue {
         co_await waitSpace(comm_);
         unsigned slot = comm_.reserveSlot();
 
-        while (inflight_ >= params_.supply_buffer) {
-            sim::Signal wait = buffer_wait_;
-            co_await wait;
-        }
+        while (inflight_ >= params_.supply_buffer)
+            co_await buffer_waiters_;
         ++inflight_;
 
         mem::Translation tr = co_await core.mmu().translate(vaddr, false);
@@ -176,19 +174,15 @@ class DescQueue {
     sim::Task<void>
     waitSpace(maple::core::MapleQueue &q, unsigned need = 1)
     {
-        while (q.capacity() - q.occupancy() < need) {
-            sim::Signal wait = q.spaceSignal();
-            co_await wait;
-        }
+        while (q.capacity() - q.occupancy() < need)
+            co_await q.spaceWaiters();
     }
 
     sim::Task<void>
     waitData(maple::core::MapleQueue &q)
     {
-        while (!q.headValid()) {
-            sim::Signal wait = q.dataSignal();
-            co_await wait;
-        }
+        while (!q.headValid())
+            co_await q.dataWaiters();
     }
 
     sim::Task<void>
@@ -203,8 +197,7 @@ class DescQueue {
         pm_.read(paddr, &v, size);
         comm_.fillSlot(slot, v);
         --inflight_;
-        sim::Signal wake = std::exchange(buffer_wait_, sim::Signal{});
-        wake.set(sim::Unit{});
+        buffer_waiters_.wakeAll();
     }
 
     sim::EventQueue &eq_;
@@ -214,7 +207,7 @@ class DescQueue {
     maple::core::MapleQueue comm_;     ///< Supply -> Compute data queue
     maple::core::MapleQueue store_q_;  ///< Compute -> Supply store queue
     unsigned inflight_ = 0;
-    sim::Signal buffer_wait_;
+    sim::WaitList buffer_waiters_;
     bool compute_done_ = false;
 };
 

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <list>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -83,8 +84,8 @@ class DropletPrefetcher : public mem::Port {
                 // Demand hit in the memory-side buffer: wait for the fill if
                 // it is still in flight, then pay buffer access time.
                 ++hits_;
-                sim::Signal ready = it->second.ready;
-                co_await ready;
+                std::shared_ptr<sim::Signal> ready = it->second.ready;
+                co_await *ready;
                 co_await sim::delay(soc_.eq(), params_.buffer_hit);
                 co_return;
             }
@@ -101,7 +102,9 @@ class DropletPrefetcher : public mem::Port {
 
   private:
     struct Entry {
-        sim::Signal ready;
+        /** Set when the fill lands. Shared: the entry can be evicted while
+         *  its fill flies, and a waiter can outlive either. */
+        std::shared_ptr<sim::Signal> ready;
         std::list<sim::Addr>::iterator lru_it;
     };
 
@@ -131,8 +134,8 @@ class DropletPrefetcher : public mem::Port {
         auto it = buffer_.find(bl);
         if (it == buffer_.end())
             co_return;  // evicted before the fetch even started
-        sim::Signal ready = it->second.ready;
-        co_await ready;
+        std::shared_ptr<sim::Signal> ready = it->second.ready;
+        co_await *ready;
         prefetchTargetsOf(b, bl);
     }
 
@@ -165,21 +168,20 @@ class DropletPrefetcher : public mem::Port {
             ++evictions_;
         }
         lru_.push_front(line);
-        Entry e;
-        e.lru_it = lru_.begin();
-        buffer_.emplace(line, e);
+        auto ready = std::make_shared<sim::Signal>();
+        buffer_.emplace(line, Entry{ready, lru_.begin()});
         ++prefetches_;
         auto fetch = [](DropletPrefetcher *self, sim::Addr l,
-                        sim::Signal done) -> sim::Task<void> {
+                        std::shared_ptr<sim::Signal> done) -> sim::Task<void> {
             // Buffer fills are the prefetcher's own traffic: Prefetch class,
             // originating at the memory tile DROPLET sits on.
             co_await self->soc_.dram().request(mem::MemRequest::make(
                 self->soc_.eq(), mem::RequesterClass::Prefetch,
                 self->soc_.memTile(), l, mem::kLineSize,
                 mem::AccessKind::Prefetch));
-            done.set(sim::Unit{});
+            done->set();
         };
-        sim::spawnDetached(soc_.eq(), fetch(this, line, buffer_.at(line).ready));
+        sim::spawnDetached(soc_.eq(), fetch(this, line, std::move(ready)));
         return true;
     }
 

@@ -1,6 +1,7 @@
 #include "core/maple.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "fault/fault.hpp"
 #include "mem/resil.hpp"
@@ -83,10 +84,8 @@ sim::Task<void>
 Maple::acquirePipeHead()
 {
     fault::ParkGuard park(eq_, "pipe_head", params_.name);
-    while (pipe_head_held_) {
-        sim::Signal wait = pipe_head_wait_;
-        co_await wait;
-    }
+    while (pipe_head_held_)
+        co_await pipe_head_waiters_;
     pipe_head_held_ = true;
 }
 
@@ -94,8 +93,7 @@ void
 Maple::releasePipeHead()
 {
     pipe_head_held_ = false;
-    sim::Signal wake = std::exchange(pipe_head_wait_, sim::Signal{});
-    wake.set(sim::Unit{});
+    pipe_head_waiters_.wakeAll();
 }
 
 void
@@ -321,10 +319,8 @@ Maple::acquireProduceBuffer(unsigned q)
     sim::Cycle wait_start = eq_.now();
     {
         fault::ParkGuard park(eq_, "produce_buffer", params_.name, q);
-        while (produce_inflight_ >= params_.produce_buffer) {
-            sim::Signal wait = produce_buffer_wait_;
-            co_await wait;
-        }
+        while (produce_inflight_ >= params_.produce_buffer)
+            co_await produce_buffer_waiters_;
     }
     if (eq_.now() != wait_start) {
         if (auto *t = tracer()) {
@@ -341,8 +337,7 @@ Maple::releaseProduceBuffer(unsigned q)
 {
     --produce_inflight_;
     --produce_inflight_q_[q];
-    sim::Signal wake = std::exchange(produce_buffer_wait_, sim::Signal{});
-    wake.set(sim::Unit{});
+    produce_buffer_waiters_.wakeAll();
 }
 
 unsigned
@@ -446,9 +441,7 @@ Maple::waitForQueue(unsigned q, Side side, unsigned n)
             // the in-flight count up and deadlock the recovery drain.
             const sim::Cycle timeout = queue_timeout_[q];
             if (timeout == 0) {
-                sim::Signal wait =
-                    produce ? queue.spaceSignal() : queue.dataSignal();
-                co_await wait;
+                co_await (produce ? queue.spaceWaiters() : queue.dataWaiters());
             } else {
                 // Timed wait: the hardware timeout counter ticks every
                 // cycle until the queue is ready or the bound is hit.
@@ -551,10 +544,8 @@ Maple::amoProduceInner(unsigned q, sim::Addr vaddr)
     chargeTranslation(storm, xlate_start);
     {
         fault::ParkGuard park(eq_, "amo_commit", params_.name, q);
-        while (amo_seq_commit_[q] != ticket) {
-            sim::Signal wait = amo_commit_wait_;
-            co_await wait;
-        }
+        while (amo_seq_commit_[q] != ticket)
+            co_await amo_commit_waiters_;
     }
     if (tr.fault) {
         MAPLE_WARN("%s: unresolved AMO fault at va 0x%llx; poisoning slot",
@@ -571,8 +562,7 @@ Maple::amoProduceInner(unsigned q, sim::Addr vaddr)
                                             bytes));
     }
     ++amo_seq_commit_[q];
-    sim::Signal commit_wake = std::exchange(amo_commit_wait_, sim::Signal{});
-    commit_wake.set(sim::Unit{});
+    amo_commit_waiters_.wakeAll();
 }
 
 sim::Task<void>
@@ -750,10 +740,8 @@ Maple::configStore(unsigned q, StoreOp op, std::uint64_t data)
       case StoreOp::LimaLaunch: {
         {
             fault::ParkGuard park(eq_, "lima_space", params_.name);
-            while (lima_cmds_.size() >= params_.lima_cmds) {
-                sim::Signal wait = lima_space_wait_;
-                co_await wait;
-            }
+            while (lima_cmds_.size() >= params_.lima_cmds)
+                co_await lima_space_waiters_;
         }
         LimaCmd cmd;
         cmd.a_base = lima_a_base_;
@@ -829,8 +817,7 @@ Maple::limaWorker()
     while (!lima_cmds_.empty()) {
         LimaCmd cmd = lima_cmds_.front();
         lima_cmds_.pop_front();
-        sim::Signal wake = std::exchange(lima_space_wait_, sim::Signal{});
-        wake.set(sim::Unit{});
+        lima_space_waiters_.wakeAll();
         bumpCounter(Counter::LimaCommands);
         co_await limaOne(cmd);
     }
@@ -853,7 +840,9 @@ Maple::limaOne(const LimaCmd &cmd)
         sim::Addr first_pa = 0;      ///< paddr of the first covered element
         std::uint64_t first = 0;     ///< index of the first covered element
         std::uint64_t last = 0;      ///< one past the last covered element
-        sim::Signal arrived;
+        /** Set when the chunk lands. Shared with the detached fetch: this
+         *  command can throw mid-stream with the next fetch in flight. */
+        std::shared_ptr<sim::Signal> arrived;
     };
 
     auto startFetch = [this, &cmd, b_elem](std::uint64_t i) -> sim::Task<ChunkFetch> {
@@ -866,7 +855,6 @@ Maple::limaOne(const LimaCmd &cmd)
             MAPLE_WARN("%s: LIMA fault on B at va 0x%llx; aborting command",
                        params_.name.c_str(), (unsigned long long)b_vaddr);
             f.fault = true;
-            f.arrived.set(sim::Unit{});
             co_return f;
         }
         f.first_pa = tr.paddr;
@@ -874,13 +862,15 @@ Maple::limaOne(const LimaCmd &cmd)
         std::uint64_t in_chunk = (mem::kLineSize - (tr.paddr - chunk_pa)) / b_elem;
         f.last = std::min<std::uint64_t>(cmd.end, i + in_chunk);
         bumpCounter(Counter::MemRequests);
-        auto fetch = [](Maple *self, sim::Addr pa, sim::Signal done) -> sim::Task<void> {
+        auto fetch = [](Maple *self, sim::Addr pa,
+                        std::shared_ptr<sim::Signal> done) -> sim::Task<void> {
             co_await self->w_.dram_port->request(mem::MemRequest::make(
                 self->eq_, mem::RequesterClass::MapleConsume,
                 self->params_.tile, pa, mem::kLineSize,
                 mem::AccessKind::Read));
-            done.set(sim::Unit{});
+            done->set();
         };
+        f.arrived = std::make_shared<sim::Signal>();
         sim::spawnDetached(eq_, fetch(this, chunk_pa, f.arrived));
         co_return f;
     };
@@ -892,7 +882,7 @@ Maple::limaOne(const LimaCmd &cmd)
         ChunkFetch next;
         if (cur.last < cmd.end)
             next = co_await startFetch(cur.last);
-        co_await cur.arrived;
+        co_await *cur.arrived;
 
         // Iterate word by word over the elements present in this chunk.
         for (std::uint64_t i = cur.first; i < cur.last; ++i) {
@@ -906,7 +896,9 @@ Maple::limaOne(const LimaCmd &cmd)
                 co_await speculativePrefetch(a_vaddr);
             } else {
                 co_await pipeEnter(produce_free_);
-                co_await pointerProduceInner(cmd.ctrl.target_queue, a_vaddr);
+                // A quiesced queue drops the element, as PRODUCE_PTR does.
+                if (!dropIfQuiesced(cmd.ctrl.target_queue, Side::Produce))
+                    co_await pointerProduceInner(cmd.ctrl.target_queue, a_vaddr);
             }
         }
         cur = std::move(next);

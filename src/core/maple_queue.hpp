@@ -187,11 +187,11 @@ class MapleQueue {
     }
 
     /// @name Wait points used by the produce/consume pipelines
-    /// Waiters loop: grab the current signal, await it, re-check their
-    /// condition. Signals resume waiters FIFO, preserving program order.
+    /// Waiters loop: await the list, re-check their condition. A list
+    /// resumes its waiters FIFO, preserving program order.
     /// @{
-    sim::Signal spaceSignal() const { return space_; }
-    sim::Signal dataSignal() const { return data_sig_; }
+    sim::WaitList &spaceWaiters() { return space_waiters_; }
+    sim::WaitList &dataWaiters() { return data_waiters_; }
 
     /**
      * Spuriously wake every parked waiter so it re-evaluates its predicate.
@@ -208,7 +208,7 @@ class MapleQueue {
     /// @}
 
     /**
-     * Snapshot support. The wait Signals are not serialized: at a quiesced
+     * Snapshot support. The wait lists are not serialized: at a quiesced
      * point no producer/consumer coroutine is parked on them.
      */
     template <class Ar>
@@ -231,19 +231,8 @@ class MapleQueue {
     }
 
   private:
-    void
-    wakeSpace()
-    {
-        sim::Signal s = std::exchange(space_, sim::Signal{});
-        s.set(sim::Unit{});
-    }
-
-    void
-    wakeData()
-    {
-        sim::Signal s = std::exchange(data_sig_, sim::Signal{});
-        s.set(sim::Unit{});
-    }
+    void wakeSpace() { space_waiters_.wakeAll(); }
+    void wakeData() { data_waiters_.wakeAll(); }
 
     bool configured_ = false;
     bool open_ = false;
@@ -256,8 +245,8 @@ class MapleQueue {
     unsigned tail_ = 0;
     unsigned reserved_ = 0;
     unsigned peak_occupancy_ = 0;
-    sim::Signal space_;
-    sim::Signal data_sig_;
+    sim::WaitList space_waiters_;
+    sim::WaitList data_waiters_;
 };
 
 }  // namespace maple::core

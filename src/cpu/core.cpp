@@ -86,8 +86,7 @@ Core::store(sim::Addr vaddr, std::uint64_t value, unsigned size)
         fault::ParkGuard park(eq_, "store_buffer", params_.name);
         while (store_buffer_used_ >= params_.store_buffer) {
             n_store_buffer_stalls_.inc();
-            sim::Signal wait = store_buffer_wait_;
-            co_await wait;
+            co_await store_buffer_waiters_;
         }
     }
     ++store_buffer_used_;
@@ -107,18 +106,15 @@ Core::drainStore(sim::Addr paddr, std::uint64_t value, unsigned size)
         w_.pm->write(paddr, &value, size);
     }
     --store_buffer_used_;
-    sim::Signal wake = std::exchange(store_buffer_wait_, sim::Signal{});
-    wake.set(sim::Unit{});
+    store_buffer_waiters_.wakeAll();
 }
 
 sim::Task<void>
 Core::storeFence()
 {
     fault::ParkGuard park(eq_, "store_fence", params_.name);
-    while (store_buffer_used_ > 0) {
-        sim::Signal wait = store_buffer_wait_;
-        co_await wait;
-    }
+    while (store_buffer_used_ > 0)
+        co_await store_buffer_waiters_;
 }
 
 sim::Task<void>
@@ -206,8 +202,7 @@ Core::storeShared(sim::Addr vaddr, std::uint64_t value, unsigned size)
         fault::ParkGuard park(eq_, "store_buffer", params_.name);
         while (store_buffer_used_ >= params_.store_buffer) {
             n_store_buffer_stalls_.inc();
-            sim::Signal wait = store_buffer_wait_;
-            co_await wait;
+            co_await store_buffer_waiters_;
         }
     }
     ++store_buffer_used_;
@@ -220,8 +215,7 @@ Core::storeShared(sim::Addr vaddr, std::uint64_t value, unsigned size)
             sz, mem::AccessKind::Write));
         self->w_.pm->write(paddr, &v, sz);
         --self->store_buffer_used_;
-        sim::Signal wake = std::exchange(self->store_buffer_wait_, sim::Signal{});
-        wake.set(sim::Unit{});
+        self->store_buffer_waiters_.wakeAll();
     };
     sim::spawnDetached(eq_, drain(this, tr.paddr, value, size));
 }

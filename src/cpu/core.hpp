@@ -190,7 +190,7 @@ class Core {
     /// @}
     sim::Average load_latency_;
     unsigned store_buffer_used_ = 0;
-    sim::Signal store_buffer_wait_;
+    sim::WaitList store_buffer_waiters_;
     trace::TraceManager::TrackId tr_track_ = trace::TraceManager::kNone;
 };
 

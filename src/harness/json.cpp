@@ -96,11 +96,28 @@ class Parser {
 
   private:
     [[noreturn]] void
-    fail(const char *what)
+    fail(const std::string &what)
     {
         MAPLE_THROW(JsonError, "JSON parse error at offset %zu: %s", pos_,
-                    what);
+                    what.c_str());
     }
+
+    /** One level of array or object nesting, for as long as it is open. */
+    class Nest {
+      public:
+        explicit Nest(Parser &p) : p_(p)
+        {
+            if (++p_.depth_ > kMaxDepth)
+                p_.fail("arrays and objects nest deeper than " +
+                        std::to_string(kMaxDepth) + " levels");
+        }
+        Nest(const Nest &) = delete;
+        Nest &operator=(const Nest &) = delete;
+        ~Nest() { --p_.depth_; }
+
+      private:
+        Parser &p_;
+    };
 
     void
     ws()
@@ -168,6 +185,7 @@ class Parser {
     Value
     object()
     {
+        Nest nest(*this);
         expect('{');
         Object o;
         ws();
@@ -194,6 +212,7 @@ class Parser {
     Value
     array()
     {
+        Nest nest(*this);
         expect('[');
         Array a;
         ws();
@@ -315,6 +334,7 @@ class Parser {
 
     const std::string &s_;
     size_t pos_ = 0;
+    unsigned depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 void

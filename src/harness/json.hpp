@@ -144,7 +144,13 @@ field(const Value &obj, const std::string &key, T def)
 void requireKnownKeys(const Value &obj,
                       std::initializer_list<std::string_view> known);
 
-/** Parse a complete JSON document; throws JsonError with position info. */
+/** Deepest nesting of arrays and objects parse() accepts. The parser
+ *  recurses once per level, so the bound keeps a hostile document from
+ *  exhausting the stack; the repo's own documents nest fewer than 10 deep. */
+constexpr unsigned kMaxDepth = 512;
+
+/** Parse a complete JSON document; throws JsonError with position info,
+ *  also for nesting deeper than kMaxDepth. */
 Value parse(const std::string &text);
 
 /**

@@ -17,6 +17,7 @@ Cache::Cache(sim::EventQueue &eq, CacheParams params, Port &downstream)
     num_sets_ = params_.size_bytes / (params_.assoc * kLineSize);
     MAPLE_ASSERT((num_sets_ & (num_sets_ - 1)) == 0, "set count must be a power of two");
     sets_.assign(num_sets_, std::vector<Way>(params_.assoc));
+    mshrs_.reserve(params_.mshrs);
     recent_inv_.fill(sim::kBadAddr);
 }
 
@@ -90,10 +91,10 @@ Cache::selectVictimCoherent(size_t set)
     for (Way &w : sets_[set]) {
         if (!w.valid)
             return w;
-        // A line mid-upgrade (SM) must not be ripped out under its pending
-        // GetM: the directory would grant a header-only upgrade to a copy
-        // that no longer exists.
-        if (tstate_.count(w.tag))
+        // A line mid-upgrade (SM, which holds an MSHR) must not be ripped
+        // out under its pending GetM: the directory would grant a
+        // header-only upgrade to a copy that no longer exists.
+        if (findMshr(w.tag))
             continue;
         if (!victim || w.lru < victim->lru)
             victim = &w;
@@ -387,11 +388,10 @@ Cache::accessLineCoherent(MemRequest req, sim::Addr line)
         // Merge into an in-flight transaction for the same line, then
         // re-evaluate: the fill may have been S while we need M, or it may
         // already have been invalidated again.
-        if (auto it = mshrs_.find(line); it != mshrs_.end()) {
+        if (Mshr *m = findMshr(line)) {
             n_mshr_merges_.inc();
-            sim::Signal fill = it->second;
             fault::ParkGuard park(eq_, "mshr_merge", params_.name);
-            co_await fill;
+            co_await m->merged;
             continue;
         }
 
@@ -401,20 +401,17 @@ Cache::accessLineCoherent(MemRequest req, sim::Addr line)
                 co_return;
             }
             n_mshr_stalls_.inc();
-            sim::Signal wait = mshr_wait_;
             {
                 fault::ParkGuard park(eq_, "mshr_full", params_.name);
-                co_await wait;
+                co_await mshr_waiters_;
             }
             continue;
         }
 
+        // The entry is the line's transient state (IS, IM, or SM when the
+        // line is present in S) until the transaction completes.
         trace::LaneSpan span(tracer(), tr_miss_, "miss", trace::Category::Cache);
-        sim::Signal fill_done;
-        mshrs_.emplace(line, fill_done);
-        tstate_[line] = lookup(line) ? TransientState::SM
-                        : want_m     ? TransientState::IM
-                                     : TransientState::IS;
+        mshrs_.push_back(Mshr{line, {}});
         // The home directory runs the whole transaction and installs the
         // line into this cache (cohInstall) before this resumes.
         co_await fabric_->fetch(
@@ -422,10 +419,7 @@ Cache::accessLineCoherent(MemRequest req, sim::Addr line)
             req.child(line, kLineSize,
                       want_m ? AccessKind::Write : AccessKind::Read),
             line, want_m);
-        tstate_.erase(line);
-        mshrs_.erase(line);
-        wakeMshrWaiters();
-        fill_done.set(sim::Unit{});
+        completeMshr(line);
         if (req.kind == AccessKind::Prefetch) {
             n_prefetch_fills_.inc();
             co_return;
@@ -531,11 +525,10 @@ Cache::handleMiss(MemRequest req, sim::Addr line, bool &dropped)
     trace::LaneSpan span(tracer(), tr_miss_, "miss", trace::Category::Cache);
 
     // Merge into an in-flight fill for the same line.
-    if (auto it = mshrs_.find(line); it != mshrs_.end()) {
+    if (Mshr *m = findMshr(line)) {
         n_mshr_merges_.inc();
-        sim::Signal fill = it->second;
         fault::ParkGuard park(eq_, "mshr_merge", params_.name);
-        co_await fill;
+        co_await m->merged;
         co_return;
     }
 
@@ -547,25 +540,22 @@ Cache::handleMiss(MemRequest req, sim::Addr line, bool &dropped)
             co_return;
         }
         n_mshr_stalls_.inc();
-        sim::Signal wait = mshr_wait_;
         {
             fault::ParkGuard park(eq_, "mshr_full", params_.name);
-            co_await wait;
+            co_await mshr_waiters_;
         }
         // Re-check everything after waking: the line may have been installed
         // or an MSHR for it allocated while we slept.
         if (lookup(line))
             co_return;
-        if (auto it = mshrs_.find(line); it != mshrs_.end()) {
-            sim::Signal fill = it->second;
+        if (Mshr *m = findMshr(line)) {
             fault::ParkGuard park(eq_, "mshr_merge", params_.name);
-            co_await fill;
+            co_await m->merged;
             co_return;
         }
     }
 
-    sim::Signal fill_done;
-    mshrs_.emplace(line, fill_done);
+    mshrs_.push_back(Mshr{line, {}});
 
     // The fill (and any writeback it triggers) keeps the requester's
     // identity so downstream stages attribute the traffic to its true
@@ -599,16 +589,30 @@ Cache::handleMiss(MemRequest req, sim::Addr line, bool &dropped)
     if (req.kind == AccessKind::Prefetch)
         n_prefetch_fills_.inc();
 
-    mshrs_.erase(line);
-    wakeMshrWaiters();
-    fill_done.set(sim::Unit{});
+    completeMshr(line);
+}
+
+Cache::Mshr *
+Cache::findMshr(sim::Addr line)
+{
+    for (Mshr &m : mshrs_) {
+        if (m.line == line)
+            return &m;
+    }
+    return nullptr;
 }
 
 void
-Cache::wakeMshrWaiters()
+Cache::completeMshr(sim::Addr line)
 {
-    sim::Signal s = std::exchange(mshr_wait_, sim::Signal{});
-    s.set(sim::Unit{});
+    Mshr *m = findMshr(line);
+    MAPLE_ASSERT(m, "%s: fill completed without an MSHR", params_.name.c_str());
+    sim::WaitList merged = std::move(m->merged);
+    if (m != &mshrs_.back())
+        *m = std::move(mshrs_.back());
+    mshrs_.pop_back();
+    mshr_waiters_.wakeAll();
+    merged.wakeAll();
 }
 
 }  // namespace maple::mem

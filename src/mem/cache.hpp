@@ -11,9 +11,9 @@
  *  - Legacy (default): latency-only. Misses fill from the downstream port,
  *    dirty victims write back to it, and no other cache exists as far as
  *    this one is concerned.
- *  - Coherent (after attachCoherence()): every line carries an MSI state, a
- *    transient-state table layered on the MSHRs tracks in-flight IS/IM/SM
- *    transactions, and misses/upgrades go through the line's home directory
+ *  - Coherent (after attachCoherence()): every line carries an MSI state, an
+ *    MSHR entry is the transient state of an in-flight IS/IM/SM
+ *    transaction, and misses/upgrades go through the line's home directory
  *    (CoherenceFabric::fetch) instead of the downstream port. Dirty (M)
  *    victims emit PutM writebacks through their home; S victims evict
  *    silently. The protocol side (cohTakeLine / cohDowngrade / cohInstall)
@@ -24,7 +24,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -137,14 +136,14 @@ class Cache : public Port, public CoherentCache {
      * Snapshot support. Only valid at a quiesced point: with no in-flight
      * fills the MSHR table is empty and the restorable state is the tag
      * array, the LRU clock and the stats. Coherent caches additionally
-     * carry the per-line MSI state (the transient table must be empty), and
+     * carry the per-line MSI state (no transient is in flight either), and
      * a restore re-seeds the reference checker with every line held.
      */
     template <class Ar>
     void
     state(Ar &ar)
     {
-        MAPLE_ASSERT(mshrs_.empty() && tstate_.empty(),
+        MAPLE_ASSERT(mshrs_.empty(),
                      "snapshot/restore with in-flight fills or MSI transients");
         ar.expect64(num_sets_, "cache set count");
         ar.expect64(params_.assoc, "cache associativity");
@@ -220,8 +219,20 @@ class Cache : public Port, public CoherentCache {
     Way &selectVictim(size_t set);
     /** Victim choice that avoids ripping out a line mid-upgrade (SM). */
     Way &selectVictimCoherent(size_t set);
-    void wakeMshrWaiters();
     void noteInvalidated(sim::Addr line);
+
+    /** One in-flight fill (a coherent cache's transient state): its line
+     *  and the requests merged into it. */
+    struct Mshr {
+        sim::Addr line;
+        sim::WaitList merged;
+    };
+
+    Mshr *findMshr(sim::Addr line);
+
+    /** Frees @p line's entry, then wakes the requests waiting for a free
+     *  entry, then those merged into it. */
+    void completeMshr(sim::Addr line);
 
     /**
      * ECC draw + poison bookkeeping for a hit on @p w, shared by both
@@ -242,8 +253,10 @@ class Cache : public Port, public CoherentCache {
     size_t num_sets_;
     std::vector<std::vector<Way>> sets_;
     std::uint64_t lru_clock_ = 1;
-    std::unordered_map<sim::Addr, sim::Signal> mshrs_;
-    sim::Signal mshr_wait_;
+    /** The MSHR file: at most params_.mshrs entries, reserved up front. Only
+     *  find, size and empty are used, so freeing swaps with the back. */
+    std::vector<Mshr> mshrs_;
+    sim::WaitList mshr_waiters_;  ///< requests waiting for a free entry
     sim::StatGroup stats_;
     /// @name Counters of stats_, resolved once (sim::CounterHandle)
     /// @{
@@ -271,8 +284,6 @@ class Cache : public Port, public CoherentCache {
 
     CoherenceFabric *fabric_ = nullptr;
     unsigned coh_id_ = 0;
-    /** In-flight protocol transactions, keyed by line (IS / IM / SM). */
-    std::unordered_map<sim::Addr, TransientState> tstate_;
     /** Ring of recently-invalidated lines: a miss that matches one is a
      *  coherence miss (counter "coherence_misses"), not a capacity miss. */
     std::array<sim::Addr, 64> recent_inv_{};

@@ -48,17 +48,6 @@ enum class MsiState : std::uint8_t {
 const char *msiStateName(MsiState s);
 
 /**
- * Transient states of an L1 line with a protocol transaction in flight,
- * layered on the MSHR table (IS/IM ride the fill MSHR; SM is an upgrade of
- * a present line and has no MSHR).
- */
-enum class TransientState : std::uint8_t {
-    IS,  ///< GetS issued, fill pending
-    IM,  ///< GetM issued, fill pending
-    SM,  ///< upgrade GetM issued for a line held in S
-};
-
-/**
  * Protocol message kinds riding the mesh as real flits. Control messages
  * are header-only packets; Data/PutM/recall-writeback legs carry a line.
  * Demand legs (GetS/GetM out, Data back) are billed to the *original*

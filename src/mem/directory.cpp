@@ -59,25 +59,19 @@ sim::Task<void>
 Directory::lock(sim::Addr line)
 {
     while (true) {
-        auto it = busy_.find(line);
-        if (it == busy_.end()) {
-            busy_.emplace(line, sim::Signal{});
-            co_return;
-        }
+        auto held = busy_.try_emplace(line);
+        if (held.second)
+            co_return;  // the line was free: now it is ours
         n_busy_waits_.inc();
-        sim::Signal s = it->second;
         fault::ParkGuard park(eq_, "dir_busy", name_);
-        co_await s;
+        co_await held.first->second;
     }
 }
 
 bool
 Directory::tryLock(sim::Addr line)
 {
-    if (busy_.count(line))
-        return false;
-    busy_.emplace(line, sim::Signal{});
-    return true;
+    return busy_.try_emplace(line).second;
 }
 
 void
@@ -85,9 +79,9 @@ Directory::unlock(sim::Addr line)
 {
     auto it = busy_.find(line);
     MAPLE_ASSERT(it != busy_.end(), "unlock of an unlocked directory line");
-    sim::Signal s = it->second;
+    sim::WaitList waiters = std::move(it->second);
     busy_.erase(it);
-    s.set(sim::Unit{});
+    waiters.wakeAll();
 }
 
 void
@@ -159,19 +153,18 @@ Directory::invalidateSharers(Entry &e, sim::Addr line)
     std::vector<unsigned> targets = std::move(e.sharers);
     e.sharers.clear();
     // All Inv legs fly in parallel; the transaction proceeds when the last
-    // ack is home.
-    auto remaining = std::make_shared<unsigned>(
-        static_cast<unsigned>(targets.size()));
+    // ack is home. The count and the latch live in this frame, which waits
+    // for the last leg.
+    auto remaining = static_cast<unsigned>(targets.size());
     sim::Signal all_acked;
     for (unsigned t : targets) {
         auto leg = [](Directory *self, unsigned cache, sim::Addr ln,
-                      std::shared_ptr<unsigned> left,
-                      sim::Signal done) -> sim::Task<void> {
+                      unsigned *left, sim::Signal *done) -> sim::Task<void> {
             co_await self->invOne(cache, ln);
             if (--*left == 0)
-                done.set(sim::Unit{});
+                done->set();
         };
-        sim::spawnDetached(eq_, leg(this, t, line, remaining, all_acked));
+        sim::spawnDetached(eq_, leg(this, t, line, &remaining, &all_acked));
     }
     fault::ParkGuard park(eq_, "dir_inv_acks", name_);
     co_await all_acked;

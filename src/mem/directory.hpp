@@ -245,7 +245,8 @@ class Directory {
     std::vector<std::vector<Entry>> sets_;
     std::uint64_t lru_clock_ = 1;
     unsigned live_entries_ = 0;
-    std::unordered_map<sim::Addr, sim::Signal> busy_;
+    /** Locked lines; each holds the transactions waiting for its lock. */
+    std::unordered_map<sim::Addr, sim::WaitList> busy_;
     /** One element per superseded PutM in flight (cache id; duplicates
      *  allowed — the same cache can have several stale PutMs flying). */
     std::unordered_map<sim::Addr, std::vector<unsigned>> stale_putms_;

@@ -85,14 +85,16 @@ sim::Task<void>
 Arbiter::waitForGrant(unsigned c, unsigned occ)
 {
     sim::Cycle enq = eq_.now();
-    waiting_[c].push_back(Waiter{sim::Signal{}, occ});
-    sim::Signal sig = waiting_[c].back().sig;
+    // Set once, by the pump, while this frame waits on it; a latch stays
+    // right whichever of the grant and the await comes first.
+    sim::Signal granted;
+    waiting_[c].push_back(Waiter{&granted, occ});
     ++waiting_count_;
     if (!pump_running_) {
         pump_running_ = true;
         sim::spawnDetached(eq_, pump());
     }
-    co_await sig;
+    co_await granted;
     wait_cycles_ += eq_.now() - enq;
 }
 
@@ -132,11 +134,11 @@ Arbiter::pump()
             co_await sim::delay(eq_, next_free_ - eq_.now());
         unsigned c = pick();
         MAPLE_ASSERT(c < kNumRequesterClasses, "pump with no waiters");
-        Waiter w = std::move(waiting_[c].front());
+        Waiter w = waiting_[c].front();
         waiting_[c].pop_front();
         --waiting_count_;
         grant(c, w.occ);
-        w.sig.set({});
+        w.granted->set();
     }
     pump_running_ = false;
 }

@@ -89,8 +89,8 @@ class Arbiter {
 
   private:
     struct Waiter {
-        sim::Signal sig;
-        unsigned occ;  ///< port cycles this request holds once granted
+        sim::Signal *granted;  ///< in the waiting request's frame
+        unsigned occ;          ///< port cycles this request holds once granted
     };
 
     /** Port cycles a @p size -byte request occupies (header + payload). */

@@ -7,11 +7,11 @@
  * A request issued in the source domain never touches the target domain's
  * state directly. Instead the proxy posts a mailbox message that, one link
  * latency later, spawns the real access against the target port *inside the
- * destination domain*; the completion travels back the same way and fulfils
- * a Signal the issuing coroutine is parked on. Both hops carry the declared
- * link latency, which is exactly the lookahead bound that lets the engine
- * run both domains concurrently: nothing either side does within a quantum
- * can reach the other until the next quantum boundary.
+ * destination domain*; the completion travels back the same way and sets a
+ * Signal in the issuing coroutine's frame, where it is parked. Both hops
+ * carry the declared link latency, which is exactly the lookahead bound that
+ * lets the engine run both domains concurrently: nothing either side does
+ * within a quantum can reach the other until the next quantum boundary.
  *
  * Timing model: a fixed-latency inter-chip hop per direction (think serdes
  * link, not the on-chip mesh — contention is modeled by whatever target
@@ -45,13 +45,15 @@ class CrossDomainPort : public Port {
     sim::Task<void>
     request(MemRequest req) override
     {
+        // Lives in this frame, which cannot finish before the response hop
+        // sets it; only the source domain ever touches it.
         sim::Signal done;
         // Deliver into the destination domain one link hop from now; the
         // callback runs on whichever host thread owns dst in that window
-        // and only touches dst state.
+        // and only touches dst state (it carries the pointer, unread).
         engine_.post(src_, dst_, src_eq_.now() + latency_,
-                     [this, req, done] {
-                         sim::spawnDetached(dst_eq_, serve(req, done));
+                     [this, req, d = &done] {
+                         sim::spawnDetached(dst_eq_, serve(req, d));
                      });
         co_await done;
     }
@@ -60,14 +62,14 @@ class CrossDomainPort : public Port {
 
   private:
     sim::Task<void>
-    serve(MemRequest req, sim::Signal done)
+    serve(MemRequest req, sim::Signal *done)
     {
         co_await target_.request(req);
-        // The response hop: fulfil the issuer's signal back in the source
+        // The response hop: set the issuer's signal back in the source
         // domain. Signal::set resumes waiters inline, so the wakeup executes
         // as a src-domain event at the delivery cycle.
         engine_.post(dst_, src_, dst_eq_.now() + latency_,
-                     [done] { done.set(sim::Unit{}); });
+                     [done] { done->set(); });
     }
 
     sim::ShardedEngine &engine_;

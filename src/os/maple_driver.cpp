@@ -312,8 +312,7 @@ MapleDriver::recover(cpu::Core &core, unsigned q)
                     trace::Category::Os);
 
     qs.recovering = false;
-    sim::Signal done = std::exchange(qs.recovery_wait, sim::Signal{});
-    done.set(sim::Unit{});
+    qs.recovery_waiters.wakeAll();
 }
 
 sim::Task<void>
@@ -359,10 +358,8 @@ MapleDriver::waitRecoveryDone(QueueState &qs)
     if (!qs.recovering)
         co_return;
     fault::ParkGuard park(eq_, "recovery_wait", device_.params().name);
-    while (qs.recovering) {
-        sim::Signal w = qs.recovery_wait;
-        co_await w;
-    }
+    while (qs.recovering)
+        co_await qs.recovery_waiters;
 }
 
 sim::Task<void>

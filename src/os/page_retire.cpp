@@ -15,13 +15,11 @@ PageRetirer::contain(sim::Addr line, sim::TileId tile, fault::FaultClass cause)
         // Another consumer already machine-checked into this page. Ride its
         // repair: once the first retire completes the frame is fresh, so
         // this consumer just resumes and retries.
-        sim::Signal done = it->second;
         fault::ParkGuard park(eq, "page_retire", "kernel");
-        co_await done;
+        co_await it->second;
         co_return;
     }
-    sim::Signal done;
-    inflight_.emplace(page, done);
+    inflight_.try_emplace(page);
     // Machine-check trap delivery + kernel handler cost (same latency class
     // as the MAPLE driver's fault service).
     co_await sim::delay(eq, kernel_.params().fault_latency);
@@ -42,9 +40,10 @@ PageRetirer::contain(sim::Addr line, sim::TileId tile, fault::FaultClass cause)
     resil_.clearBackingPoisonPage(page);
     if (retired)
         resil_.noteRetiredPage();
-    inflight_.erase(page);
-    done.set(sim::Unit{});
-    co_return;
+    auto it = inflight_.find(page);
+    sim::WaitList riders = std::move(it->second);
+    inflight_.erase(it);
+    riders.wakeAll();
 }
 
 }  // namespace maple::os

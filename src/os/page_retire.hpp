@@ -61,8 +61,9 @@ class PageRetirer {
     Kernel &kernel_;
     mem::ResilManager &resil_;
     PageRetireHooks hooks_;
-    /** Pages with a retire in flight; later machine checks ride the first. */
-    std::unordered_map<sim::Addr, sim::Signal> inflight_;
+    /** Pages with a retire in flight; later machine checks ride the first,
+     *  parked on the page's list. */
+    std::unordered_map<sim::Addr, sim::WaitList> inflight_;
 };
 
 }  // namespace maple::os

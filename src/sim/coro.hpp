@@ -8,14 +8,16 @@
  * while the simulation stays event-driven and deterministic.
  *
  *  - Task<T>:   lazily-started coroutine, awaitable, symmetric transfer.
- *  - Future<T>: externally-fulfilled completion (one waiter).
+ *  - WaitList:  intrusive FIFO of parked coroutines, woken all at once.
+ *  - Signal:    one-shot latch: set once, awaited any number of times.
  *  - delay():   awaitable that costs simulated cycles (a Delay).
  *  - Soon<T>:   a step's value computed at the call, or its slow-path Task.
  *  - spawn():   runs a Task<> to completion as a root, returns a Join.
  *
  * Every coroutine frame comes from detail::FramePool, so the nested tasks
  * each simulated access creates and destroys recycle without reaching
- * malloc.
+ * malloc, and a parked waiter's link lives in its own frame, so waiting
+ * allocates nothing either.
  */
 #pragma once
 
@@ -27,7 +29,6 @@
 #include <new>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/log.hpp"
@@ -482,60 +483,130 @@ class [[nodiscard]] Soon<void> {
 };
 
 /**
- * One-shot, externally-fulfilled completion carrying a copyable value of
- * type T. Any number of coroutines may await it (e.g. loads merged into one
- * cache MSHR); all are resumed in FIFO order when the value is set.
- * Fulfilling before the first await is fine.
+ * An intrusive FIFO of parked coroutines. `co_await list` parks the caller;
+ * its link lives in the awaiter, inside the waiter's own frame, so parking
+ * allocates nothing. wakeAll() first detaches the whole list, then resumes
+ * it in FIFO order: a waiter that parks again while being woken waits for
+ * the next wakeAll().
+ *
+ * Waiters keep no pointer to the list once parked, so a list with waiters
+ * on it may be moved (out of a map node or table entry about to be freed,
+ * say). A list destroyed with waiters on it leaves them parked forever.
  */
-template <typename T>
-class Future {
+class WaitList {
   public:
-    Future() : state_(std::make_shared<State>()) {}
+    /** Parks the awaiting coroutine on a list; its link in the chain. */
+    class Awaiter {
+      public:
+        explicit Awaiter(WaitList &list, bool ready = false) noexcept
+            : list_(&list), ready_(ready)
+        {}
 
-    /** Fulfil the future, resuming all waiters immediately (FIFO). */
-    void
-    set(T value) const
+        bool await_ready() const noexcept { return ready_; }
+
+        void
+        await_suspend(std::coroutine_handle<> h) noexcept
+        {
+            handle_ = h;
+            list_->push(this);
+        }
+
+        void await_resume() const noexcept {}
+
+      private:
+        friend class WaitList;
+
+        WaitList *list_;
+        bool ready_;
+        Awaiter *next_ = nullptr;
+        std::coroutine_handle<> handle_;
+    };
+
+    WaitList() = default;
+
+    WaitList(WaitList &&other) noexcept
+        : head_(std::exchange(other.head_, nullptr)),
+          tail_(std::exchange(other.tail_, nullptr))
+    {}
+
+    WaitList &
+    operator=(WaitList &&other) noexcept
     {
-        MAPLE_ASSERT(!state_->value.has_value(), "future fulfilled twice");
-        state_->value.emplace(std::move(value));
-        auto waiters = std::move(state_->waiters);
-        state_->waiters.clear();
-        for (auto w : waiters)
-            w.resume();
+        MAPLE_ASSERT(empty(), "waiters dropped by a wait-list move");
+        head_ = std::exchange(other.head_, nullptr);
+        tail_ = std::exchange(other.tail_, nullptr);
+        return *this;
     }
 
-    bool ready() const { return state_->value.has_value(); }
+    WaitList(const WaitList &) = delete;
+    WaitList &operator=(const WaitList &) = delete;
 
-    auto
-    operator co_await() const
+    bool empty() const noexcept { return head_ == nullptr; }
+
+    Awaiter operator co_await() noexcept { return Awaiter(*this); }
+
+    /**
+     * Resume every waiter parked now, FIFO. Touches nothing of *this once
+     * the list is detached: a woken waiter may destroy the object that
+     * holds the list (a Signal in its own frame).
+     */
+    void
+    wakeAll()
     {
-        struct Awaiter {
-            std::shared_ptr<State> st;
-
-            bool await_ready() const noexcept { return st->value.has_value(); }
-
-            void
-            await_suspend(std::coroutine_handle<> h) const
-            {
-                st->waiters.push_back(h);
-            }
-
-            T await_resume() const { return *st->value; }
-        };
-        return Awaiter{state_};
+        Awaiter *w = std::exchange(head_, nullptr);
+        tail_ = nullptr;
+        while (w) {
+            Awaiter *next = w->next_;  // w's frame may be gone after resume
+            w->handle_.resume();
+            w = next;
+        }
     }
 
   private:
-    struct State {
-        std::optional<T> value;
-        std::vector<std::coroutine_handle<>> waiters;
-    };
+    void
+    push(Awaiter *w) noexcept
+    {
+        if (tail_)
+            tail_->next_ = w;
+        else
+            head_ = w;
+        tail_ = w;
+    }
 
-    std::shared_ptr<State> state_;
+    Awaiter *head_ = nullptr;
+    Awaiter *tail_ = nullptr;
 };
 
-/** Future<> carrying no payload; used as a pure completion signal. */
-struct Unit {};
-using Signal = Future<Unit>;
+/**
+ * One-shot latch: set() once resumes every waiter (FIFO, inline); awaiting
+ * a set Signal does not suspend. Not copyable: whoever sets it holds its
+ * address, so it lives where both sides can reach it for as long as either
+ * needs it (DESIGN.md section 7).
+ */
+class Signal {
+  public:
+    Signal() = default;
+    Signal(const Signal &) = delete;
+    Signal &operator=(const Signal &) = delete;
+
+    /** Latch and resume the waiters. The last thing set() does: a woken
+     *  waiter may destroy the frame that holds this Signal. */
+    void
+    set()
+    {
+        MAPLE_ASSERT(!set_, "signal set twice");
+        set_ = true;
+        waiters_.wakeAll();
+    }
+
+    WaitList::Awaiter operator co_await() noexcept
+    {
+        return WaitList::Awaiter(waiters_, set_);
+    }
+
+  private:
+    bool set_ = false;
+    WaitList waiters_;
+};
 
 }  // namespace maple::sim

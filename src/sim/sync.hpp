@@ -25,12 +25,10 @@ class Barrier {
     {
         if (++arrived_ == parties_) {
             arrived_ = 0;
-            Signal gen = std::exchange(generation_, Signal{});
-            gen.set(Unit{});
+            waiting_.wakeAll();
             co_return;
         }
-        Signal gen = generation_;
-        co_await gen;
+        co_await waiting_;
     }
 
     unsigned parties() const { return parties_; }
@@ -38,7 +36,7 @@ class Barrier {
   private:
     unsigned parties_;
     unsigned arrived_ = 0;
-    Signal generation_;
+    WaitList waiting_;  ///< this generation's parties, released together
 };
 
 }  // namespace maple::sim

@@ -96,27 +96,43 @@ makeRmat(unsigned scale, unsigned edge_factor, std::uint64_t seed, double a,
         std::uint32_t src = 0, dst = 0;
         for (unsigned bit = 0; bit < scale; ++bit) {
             double p = rng.uniform();
-            unsigned quad = p < a ? 0 : p < a + b ? 1 : p < a + b + c ? 2 : 3;
+            // The quadrant, 0..3, without a branch (a, b, c >= 0).
+            unsigned quad = unsigned(p >= a) + unsigned(p >= a + b) +
+                unsigned(p >= a + b + c);
             src = (src << 1) | (quad >> 1);
             dst = (dst << 1) | (quad & 1);
         }
         if (src != dst)
             el.emplace_back(src, dst);
     }
-    std::sort(el.begin(), el.end());
-    el.erase(std::unique(el.begin(), el.end()), el.end());
 
     SparseMatrix m;
     m.rows = n;
     m.cols = n;
     m.row_ptr.assign(n + 1, 0);
-    m.col_idx.reserve(el.size());
     for (auto &[s, d] : el)
         ++m.row_ptr[s + 1];
     for (std::uint32_t r = 0; r < n; ++r)
         m.row_ptr[r + 1] += m.row_ptr[r];
+    // Place each edge in its source's row, then sort and deduplicate row by
+    // row, compacting leftwards: the CSR that sorting the whole edge list
+    // gives, without the comparison sort over every edge.
+    m.col_idx.resize(el.size());
+    std::vector<std::uint32_t> fill(m.row_ptr.begin(), m.row_ptr.end() - 1);
     for (auto &[s, d] : el)
-        m.col_idx.push_back(d);
+        m.col_idx[fill[s]++] = d;
+    std::uint32_t kept = 0;
+    for (std::uint32_t r = 0; r < n; ++r) {
+        auto first = m.col_idx.begin() + m.row_ptr[r];
+        auto last = m.col_idx.begin() + m.row_ptr[r + 1];
+        std::sort(first, last);
+        last = std::unique(first, last);
+        m.row_ptr[r] = kept;  // bucket r is read; bucket r + 1 is not yet
+        for (auto it = first; it != last; ++it)
+            m.col_idx[kept++] = *it;
+    }
+    m.row_ptr[n] = kept;
+    m.col_idx.resize(kept);
     m.vals.assign(m.col_idx.size(), 1.0f);
     return m;
 }

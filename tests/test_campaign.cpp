@@ -81,6 +81,38 @@ TEST(CampaignJson, MalformedInputThrowsWithOffset)
     }
 }
 
+TEST(CampaignJson, DeepNestingIsATypedError)
+{
+    // The parser recurses once per level, so 60,000 unbounded levels would
+    // exhaust the stack; past json::kMaxDepth it throws instead.
+    auto nested = [](unsigned depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    try {
+        json::parse(nested(60'000));
+        FAIL() << "60,000 levels parsed";
+    } catch (const json::JsonError &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("offset " + std::to_string(json::kMaxDepth)),
+                  std::string::npos)
+            << what;
+    }
+    EXPECT_THROW(json::parse(nested(json::kMaxDepth + 1)), json::JsonError);
+    std::string objects;
+    for (unsigned i = 0; i <= json::kMaxDepth; ++i)
+        objects += "{\"k\":";
+    objects += "0" + std::string(json::kMaxDepth + 1, '}');
+    EXPECT_THROW(json::parse(objects), json::JsonError);
+
+    json::Value v = json::parse(nested(json::kMaxDepth));
+    for (unsigned i = 1; i < json::kMaxDepth; ++i) {
+        ASSERT_TRUE(v.isArray() && v.asArray().size() == 1u) << "level " << i;
+        json::Value inner = std::move(v.asArray()[0]);
+        v = std::move(inner);
+    }
+    EXPECT_TRUE(v.isArray() && v.asArray().empty());
+}
+
 TEST(CampaignJson, WriteFileIsAtomicAndReadable)
 {
     const std::string path =

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
+#include "sim/random.hpp"
 #include "soc/soc.hpp"
 #include "workloads/data.hpp"
 
@@ -76,6 +79,64 @@ TEST(Generators, RmatColumnsSortedAndDeduplicated)
         for (std::uint32_t j = g.row_ptr[r] + 1; j < g.row_ptr[r + 1]; ++j)
             ASSERT_LT(g.col_idx[j - 1], g.col_idx[j]);
     }
+}
+
+namespace {
+
+/** R-MAT by the whole edge list: draw it, sort and deduplicate it, then
+ *  count rows. makeRmat must build the same CSR. */
+SparseMatrix
+rmatBySortedEdgeList(unsigned scale, unsigned edge_factor, std::uint64_t seed,
+                     double a = 0.57, double b = 0.19, double c = 0.19)
+{
+    const std::uint32_t n = 1u << scale;
+    sim::Rng rng(seed);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> el;
+    for (std::uint64_t e = 0; e < std::uint64_t(edge_factor) * n; ++e) {
+        std::uint32_t src = 0, dst = 0;
+        for (unsigned bit = 0; bit < scale; ++bit) {
+            double p = rng.uniform();
+            unsigned quad = p < a ? 0 : p < a + b ? 1 : p < a + b + c ? 2 : 3;
+            src = (src << 1) | (quad >> 1);
+            dst = (dst << 1) | (quad & 1);
+        }
+        if (src != dst)
+            el.emplace_back(src, dst);
+    }
+    std::sort(el.begin(), el.end());
+    el.erase(std::unique(el.begin(), el.end()), el.end());
+    SparseMatrix m;
+    m.rows = m.cols = n;
+    m.row_ptr.assign(n + 1, 0);
+    for (auto &[s, d] : el)
+        ++m.row_ptr[s + 1];
+    for (std::uint32_t r = 0; r < n; ++r)
+        m.row_ptr[r + 1] += m.row_ptr[r];
+    for (auto &[s, d] : el)
+        m.col_idx.push_back(d);
+    m.vals.assign(m.col_idx.size(), 1.0f);
+    return m;
+}
+
+}  // namespace
+
+TEST(Generators, RmatMatchesSortedEdgeListReference)
+{
+    for (unsigned scale : {6u, 10u, 12u}) {
+        for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 11u, 77u}) {
+            SparseMatrix got = makeRmat(scale, 16, seed);
+            SparseMatrix want = rmatBySortedEdgeList(scale, 16, seed);
+            ASSERT_EQ(got.rows, want.rows);
+            ASSERT_EQ(got.row_ptr, want.row_ptr) << scale << "/" << seed;
+            ASSERT_EQ(got.col_idx, want.col_idx) << scale << "/" << seed;
+            ASSERT_EQ(got.vals, want.vals) << scale << "/" << seed;
+        }
+    }
+    // Skewed quadrant weights, one of them zero, take the same draws.
+    SparseMatrix got = makeRmat(8, 8, 5, 0.7, 0.0, 0.25);
+    SparseMatrix want = rmatBySortedEdgeList(8, 8, 5, 0.7, 0.0, 0.25);
+    EXPECT_EQ(got.row_ptr, want.row_ptr);
+    EXPECT_EQ(got.col_idx, want.col_idx);
 }
 
 TEST(Generators, DenseVectorInUnitInterval)

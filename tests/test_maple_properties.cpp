@@ -165,7 +165,7 @@ TEST(MapleProperties, IndependentQueuesDoNotInterfere)
         bool a = co_await f.api.open(c, 0);
         bool b = co_await f.api.open(c, 1);
         EXPECT_TRUE(a && b);
-        configured.set(sim::Unit{});
+        configured.set();
         for (std::uint64_t i = 0; i < 100; ++i) {
             co_await f.api.produce(c, 0, 5000 + i);
             got0.push_back(co_await f.api.consume(c, 0));

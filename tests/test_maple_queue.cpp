@@ -2,7 +2,7 @@
  * @file
  * Direct unit tests for the MapleQueue ring buffer: slot reservation,
  * out-of-order fills re-ordered by slot index, wraparound, reconfiguration
- * and the signal wake-ups the pipelines rely on.
+ * and the wait-list wake-ups the pipelines rely on.
  */
 #include <gtest/gtest.h>
 
@@ -128,15 +128,23 @@ TEST(MapleQueue, SignalsWakeOnSpaceAndData)
 {
     MapleQueue q;
     q.configure(1, 8);
-    sim::Signal data_sig = q.dataSignal();
-    EXPECT_FALSE(data_sig.ready());
+    auto park = [](sim::WaitList &list, bool *woke) -> sim::Task<void> {
+        co_await list;
+        *woke = true;
+    };
+    bool data_woke = false;
+    sim::Join data = sim::spawn(park(q.dataWaiters(), &data_woke));
+    EXPECT_FALSE(data_woke);
     q.fillSlot(q.reserveSlot(), 9);
-    EXPECT_TRUE(data_sig.ready()) << "fill must fire the data signal";
+    EXPECT_TRUE(data_woke) << "fill must wake the data waiters";
 
-    sim::Signal space_sig = q.spaceSignal();
-    EXPECT_FALSE(space_sig.ready());
+    bool space_woke = false;
+    sim::Join space = sim::spawn(park(q.spaceWaiters(), &space_woke));
+    EXPECT_FALSE(space_woke);
     (void)q.pop();
-    EXPECT_TRUE(space_sig.ready()) << "pop must fire the space signal";
+    EXPECT_TRUE(space_woke) << "pop must wake the space waiters";
+    data.get();
+    space.get();
 }
 
 TEST(MapleQueue, MisuseIsRejected)

@@ -286,6 +286,45 @@ TEST(ErrorRegisters, QuiesceDropsOpsAndResumeRestoresService)
     EXPECT_TRUE(done);
 }
 
+TEST(ErrorRegisters, QuiesceDropsLimaProduces)
+{
+    // A LIMA command's produces obey Quiesce like PRODUCE_PTR: each element
+    // is walked but dropped with status Quiesced, so the queue stays empty.
+    Fixture f;
+    constexpr unsigned kN = 8;
+    sim::Addr a = f.proc.alloc(kN * 4, "A");
+    sim::Addr b = f.proc.alloc(kN * 4, "B");
+    for (unsigned i = 0; i < kN; ++i) {
+        f.proc.writeScalar<std::uint32_t>(b + 4 * i, i);
+        f.proc.writeScalar<std::uint32_t>(a + 4 * i, i + 100);
+    }
+    bool done = false;
+    auto t = [&](cpu::Core &c) -> sim::Task<void> {
+        co_await f.api.init(c, 1, 16, 4);
+        EXPECT_TRUE(co_await f.api.open(c, 0));
+        co_await c.store(core::encodeStore(f.api.base(), 0, StoreOp::Quiesce), 1);
+        co_await c.storeFence();
+
+        core::LimaRequest req;
+        req.a_base = a;
+        req.b_base = b;
+        req.end = kN;
+        co_await f.api.lima(c, req);
+        co_await c.storeFence();
+        co_await sim::delay(f.soc.eq(), 5'000);  // long past the last element
+        EXPECT_EQ(co_await f.api.occupancy(c, 0), 0u);
+        EXPECT_EQ(co_await c.load(core::encodeLoad(f.api.base(), 0,
+                                                   LoadOp::ProduceStatus)),
+                  static_cast<std::uint64_t>(MapleStatus::Quiesced));
+        done = true;
+    };
+    std::vector<sim::Join> joins;
+    joins.push_back(sim::spawn(t(f.soc.core(0))));
+    f.soc.run(std::move(joins), 10'000'000);
+    EXPECT_TRUE(done);
+    EXPECT_EQ(f.soc.maple().counter(Counter::LimaElements), kN);
+}
+
 TEST(ErrorRegisters, DeviceResetAbortsParkedConsumer)
 {
     Fixture f;
